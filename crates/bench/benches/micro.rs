@@ -3,9 +3,8 @@
 //! solver, random-forest fitting and RIFS fractions.
 //!
 //! Runs under `cargo bench -p arda-bench` with the in-repo timing harness
-//! (`harness = false`; the build is offline, so no criterion). For the
-//! thread-count sweep that records the perf trajectory, see the
-//! `bench_pr1` binary.
+//! (`harness = false`; the build is offline, so no criterion). End-to-end
+//! augmentation runs with per-stage timings are measured by `ardabench`.
 
 use arda_bench::timing::{print_measurements, time_op, Measurement};
 use arda_bench::{bench_rifs, Scale};

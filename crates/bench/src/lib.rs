@@ -138,7 +138,7 @@ pub fn full_materialized_dataset(scenario: &Scenario, seed: u64) -> Dataset {
         discover_joins(&scenario.base, &repo, &DiscoveryConfig::default()).expect("discover");
     let mut joined = scenario.base.clone();
     for c in &candidates {
-        let foreign = repo.get(c.table_index).expect("table");
+        let foreign = repo.table(c.table_index).expect("table");
         let kind = match c.kind {
             arda_discovery::KeyKind::Soft => {
                 JoinKind::SoftTimeResampled(arda_join::SoftMethod::TwoWayNearest)

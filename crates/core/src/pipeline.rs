@@ -6,9 +6,7 @@ use crate::plan::{plan_batches, JoinPlan};
 use crate::{ArdaError, Result};
 use arda_coreset::{row_coreset, CoresetSpec};
 use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind, Repository};
-use arda_join::{
-    execute_join_threads, impute::impute, stats::join_stats, JoinKind, JoinSpec, SoftMethod,
-};
+use arda_join::{execute_join, impute::impute, stats::join_stats, JoinKind, JoinSpec, SoftMethod};
 use arda_ml::model::holdout_score;
 use arda_ml::{featurize, Dataset, FeaturizeOptions, ModelKind};
 use arda_select::{
@@ -251,7 +249,7 @@ impl Arda {
                     kind,
                 };
                 let before: HashSet<&str> = snapshot.columns().iter().map(|c| c.name()).collect();
-                let joined = execute_join_threads(snapshot, &foreign, &spec, cfg.seed, 0)?;
+                let joined = execute_join(snapshot, &foreign, &spec, cfg.seed)?;
                 let mut extras = Table::empty(cand.table_name.clone());
                 for col in joined.columns() {
                     if !before.contains(col.name()) {

@@ -142,6 +142,31 @@ struct ShardMeta {
     entry: CatalogEntry,
 }
 
+impl ShardMeta {
+    /// Check a freshly loaded shard against this manifest entry: the width
+    /// always, dtypes and row count when the manifest recorded them.
+    /// Discovery has already planned against the manifest, so a shard
+    /// rewritten since the scan is an error, never a silently different
+    /// table.
+    fn check(&self, table: &Table) -> Result<(), TableError> {
+        let entry = &self.entry;
+        let dtypes: Vec<DataType> = table.columns().iter().map(|c| c.dtype()).collect();
+        let mismatch = if table.n_cols() != entry.n_cols {
+            format!("{} columns, manifest has {}", table.n_cols(), entry.n_cols)
+        } else if let Some(expect) = entry.dtypes.as_ref().filter(|d| **d != dtypes) {
+            format!("dtypes {dtypes:?}, manifest has {expect:?}")
+        } else if let Some(expect) = entry.n_rows.filter(|&n| n != table.n_rows()) {
+            format!("{} rows, manifest has {expect}", table.n_rows())
+        } else {
+            return Ok(());
+        };
+        Err(TableError::Store(format!(
+            "shard {} changed since it was indexed: {mismatch}",
+            self.path.display()
+        )))
+    }
+}
+
 /// `(mtime_ns, size)` of a file; mtime falls back to 0 on filesystems
 /// that cannot report one (such a shard then never catalog-validates as
 /// fresh against a different size, but same-size rewrites go unseen —
@@ -598,7 +623,9 @@ impl Repository {
 
     /// Table by index, loading a sharded table from disk on first access.
     /// The returned [`Arc`] stays valid even if the cache later evicts the
-    /// shard.
+    /// shard. A loaded shard whose width, dtypes or row count disagree
+    /// with its manifest entry is a [`TableError::Store`] and is not
+    /// cached.
     pub fn table(&self, index: usize) -> Result<Arc<Table>, TableError> {
         let source = self.sources.get(index).ok_or_else(|| {
             TableError::Invalid(format!(
@@ -632,6 +659,7 @@ impl Repository {
                         })?)
                     }
                 };
+                meta.check(&loaded)?;
                 let mut cache = self.cache.lock().unwrap_or_else(|p| p.into_inner());
                 let entry = cache
                     .loaded
@@ -643,12 +671,6 @@ impl Repository {
                 Ok(out)
             }
         }
-    }
-
-    /// Table by index; `None` when out of range or the shard fails to
-    /// load. Prefer [`Self::table`] where the error matters.
-    pub fn get(&self, index: usize) -> Option<Arc<Table>> {
-        self.table(index).ok()
     }
 
     /// Table name by index (from the manifest — never loads a shard).
@@ -1049,10 +1071,9 @@ mod tests {
         assert!(repo.is_empty());
         let i = repo.add(junk());
         assert_eq!(repo.len(), 1);
-        assert_eq!(repo.get(i).unwrap().name(), "junk");
+        assert_eq!(repo.table(i).unwrap().name(), "junk");
         assert_eq!(repo.name(i), Some("junk"));
         assert_eq!(repo.n_cols(i), Some(2));
-        assert!(repo.get(9).is_none());
         assert!(repo.table(9).is_err());
     }
 
@@ -1442,6 +1463,72 @@ mod tests {
             1,
             "the float-only shard was never loaded"
         );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `table(0)` must reject a shard rewritten after the manifest scan —
+    /// naming the shard — and must not cache it.
+    fn assert_stale_shard_rejected(repo: &Repository, file: &str) {
+        for _ in 0..2 {
+            match repo.table(0) {
+                Err(TableError::Store(msg)) => assert!(msg.contains(file), "{msg}"),
+                other => panic!("stale shard {file} served: {other:?}"),
+            }
+        }
+        assert_eq!(repo.resident_shards(), 0, "a rejected shard is not cached");
+    }
+
+    /// A CSV shard indexed as `k,v` and rewritten as three string columns
+    /// before its lazy load contradicts the manifest width.
+    #[test]
+    fn csv_shard_rewritten_after_indexing_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("arda_disc_csv_drift_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("pairs.csv"), "k,v\n1,10\n2,20\n").unwrap();
+        let repo = Repository::from_dir(&dir).unwrap();
+        assert_eq!(repo.n_cols(0), Some(2));
+
+        std::fs::write(dir.join("pairs.csv"), "x,y,z\na,b,c\nd,e,f\n").unwrap();
+        assert_stale_shard_rejected(&repo, "pairs.csv");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An `.arda` shard indexed as one Int column of 2 rows must keep that
+    /// width, dtype and row count when it is finally loaded.
+    #[test]
+    fn arda_shard_rewritten_after_indexing_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("arda_disc_arda_drift_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ids.arda");
+        let indexed = Table::new("ids", vec![Column::from_i64("id", vec![1, 2])]).unwrap();
+        arda_table::write_arda_file(&indexed, &path).unwrap();
+        let repo = Repository::from_dir(&dir).unwrap();
+        assert_eq!(repo.dtypes(0), Some(vec![DataType::Int]));
+        assert_eq!(repo.n_rows(0), Some(2));
+
+        let rewrites = [
+            // Wider, other dtypes, more rows.
+            vec![
+                Column::from_str("id", vec!["a", "b", "c"]),
+                Column::from_f64("w", vec![0.5, 1.5, 2.5]),
+            ],
+            // Same width, other dtype.
+            vec![Column::from_str("id", vec!["a", "b"])],
+            // Same width and dtype, more rows.
+            vec![Column::from_i64("id", vec![1, 2, 3])],
+        ];
+        for columns in rewrites {
+            let rewritten = Table::new("ids", columns).unwrap();
+            arda_table::write_arda_file(&rewritten, &path).unwrap();
+            assert_stale_shard_rejected(&repo, "ids.arda");
+        }
+
+        // Restoring a matching shard loads (and caches) normally.
+        arda_table::write_arda_file(&indexed, &path).unwrap();
+        assert_eq!(*repo.table(0).unwrap(), indexed);
+        assert_eq!(repo.resident_shards(), 1);
 
         std::fs::remove_dir_all(&dir).ok();
     }

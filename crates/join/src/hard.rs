@@ -58,7 +58,7 @@ pub fn left_hard_join(
     // Probe scan: each base row's lookup is independent, so large bases
     // fan out on the ambient work budget (results stay in row order).
     let bkeys = base.keys(base_keys)?;
-    let threads = arda_par::threads_for(0, bkeys.len(), PAR_MIN_ROWS);
+    let threads = arda_par::threads_for(bkeys.len(), PAR_MIN_ROWS);
     let matches: Vec<Option<usize>> = arda_par::par_map(&bkeys, threads, |_, k| {
         k.as_ref().and_then(|k| index.get(k).copied())
     });

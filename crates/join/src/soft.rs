@@ -76,14 +76,6 @@ impl SoftKeyIndex {
         };
         (low, high)
     }
-
-    /// Worker count for a scan over `n_rows` base rows: an explicit caller
-    /// cap wins, otherwise small scans stay sequential and large ones plan
-    /// with the ambient work budget (the pipeline's batch fan-out installs
-    /// each candidate's split, so nested joins never oversubscribe).
-    fn scan_threads(n_rows: usize, requested: usize) -> usize {
-        arda_par::threads_for(requested, n_rows, PAR_MIN_ROWS)
-    }
 }
 
 /// Nearest-neighbour soft LEFT join: each base row joins the foreign row
@@ -96,18 +88,6 @@ pub fn nearest_join(
     foreign_key: &str,
     tolerance: Option<f64>,
 ) -> Result<Table> {
-    nearest_join_threads(base, foreign, base_key, foreign_key, tolerance, 0)
-}
-
-/// [`nearest_join`] with an explicit worker cap (`0` = automatic).
-pub fn nearest_join_threads(
-    base: &Table,
-    foreign: &Table,
-    base_key: &str,
-    foreign_key: &str,
-    tolerance: Option<f64>,
-    threads: usize,
-) -> Result<Table> {
     let base_col = base.column(base_key)?;
     if !base_col.dtype().is_numeric() {
         return Err(JoinError::NonNumericSoftKey(base_key.to_string()));
@@ -117,7 +97,7 @@ pub fn nearest_join_threads(
 
     let matches: Vec<Option<usize>> = arda_par::par_for_rows(
         base.n_rows(),
-        SoftKeyIndex::scan_threads(base.n_rows(), threads),
+        arda_par::threads_for(base.n_rows(), PAR_MIN_ROWS),
         |range| {
             range
                 .map(|i| {
@@ -157,18 +137,6 @@ pub fn two_way_nearest_join(
     foreign_key: &str,
     seed: u64,
 ) -> Result<Table> {
-    two_way_nearest_join_threads(base, foreign, base_key, foreign_key, seed, 0)
-}
-
-/// [`two_way_nearest_join`] with an explicit worker cap (`0` = automatic).
-pub fn two_way_nearest_join_threads(
-    base: &Table,
-    foreign: &Table,
-    base_key: &str,
-    foreign_key: &str,
-    seed: u64,
-    threads: usize,
-) -> Result<Table> {
     let base_col = base.column(base_key)?;
     if !base_col.dtype().is_numeric() {
         return Err(JoinError::NonNumericSoftKey(base_key.to_string()));
@@ -180,7 +148,7 @@ pub fn two_way_nearest_join_threads(
     // searches over the shared index → parallel row bands.
     let plans: Vec<Option<(usize, usize, f64)>> = arda_par::par_for_rows(
         base.n_rows(),
-        SoftKeyIndex::scan_threads(base.n_rows(), threads),
+        arda_par::threads_for(base.n_rows(), PAR_MIN_ROWS),
         |range| {
             range
                 .map(|i| {
@@ -243,7 +211,7 @@ pub fn two_way_nearest_join_threads(
     // Each output column interpolates independently from the shared plans.
     let jobs: Vec<(&Column, Option<Vec<Option<usize>>>)> =
         value_cols.into_iter().zip(str_picks).collect();
-    let threads = arda_par::threads_for(threads, base.n_rows() * jobs.len().max(1), PAR_MIN_ROWS);
+    let threads = arda_par::threads_for(base.n_rows() * jobs.len().max(1), PAR_MIN_ROWS);
     let new_cols: Vec<Result<Column>> =
         arda_par::par_map(&jobs, threads, |_, (col, picks)| {
             match (col.data(), picks) {

@@ -24,11 +24,14 @@ const PAR_MIN_OPS: usize = 1 << 15;
 
 /// Worker count for a kernel touching `ops` scalar operations: the shared
 /// `arda-par` small-input policy with this crate's op threshold, fully
-/// resolved (never the `0` = "global default" placeholder) because the
-/// kernels derive their band sizes from it.
+/// resolved to the ambient budget's width (never the `0` placeholder)
+/// because the kernels derive their band sizes from it.
 #[inline]
-fn kernel_threads(requested: usize, ops: usize) -> usize {
-    arda_par::resolve_threads(arda_par::threads_for(requested, ops, PAR_MIN_OPS))
+fn kernel_threads(ops: usize) -> usize {
+    match arda_par::threads_for(ops, PAR_MIN_OPS) {
+        0 => arda_par::current_budget().width(),
+        t => t,
+    }
 }
 
 /// A dense `rows × cols` matrix of `f64` stored row-major.
@@ -174,7 +177,7 @@ impl Matrix {
         if d == 0 || rows == 0 {
             return Ok(out);
         }
-        let threads = kernel_threads(0, rows * d);
+        let threads = kernel_threads(rows * d);
         let band = rows.div_ceil(threads).max(1) * d;
         arda_par::par_chunks_mut(&mut out.data, band, threads, |start, chunk| {
             let r0 = start / d;
@@ -191,18 +194,12 @@ impl Matrix {
     /// Transposed copy: tiled to keep both the source and destination
     /// access patterns cache-resident, parallel over output row bands.
     pub fn transpose(&self) -> Matrix {
-        self.transpose_threads(0)
-    }
-
-    /// [`Matrix::transpose`] with an explicit worker count (`0` = global
-    /// default).
-    pub fn transpose_threads(&self, threads: usize) -> Matrix {
         let (n, d) = (self.rows, self.cols);
         let mut out = Matrix::zeros(d, n);
         if n == 0 || d == 0 {
             return out;
         }
-        let threads = kernel_threads(threads, n * d);
+        let threads = kernel_threads(n * d);
         let src = &self.data;
         let t = TRANSPOSE_TILE;
         // Output rows are input columns; hand each worker a band of them.
@@ -228,12 +225,6 @@ impl Matrix {
     /// naive i-k-j product for every thread count because each output
     /// element accumulates its `k` contributions in ascending order.
     pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
-        self.matmul_threads(other, 0)
-    }
-
-    /// [`Matrix::matmul`] with an explicit worker count (`0` = global
-    /// default).
-    pub fn matmul_threads(&self, other: &Matrix, threads: usize) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(LinalgError::DimensionMismatch {
                 context: format!(
@@ -247,7 +238,7 @@ impl Matrix {
         if n == 0 || kd == 0 || m == 0 {
             return Ok(out);
         }
-        let threads = kernel_threads(threads, n * kd * m);
+        let threads = kernel_threads(n * kd * m);
         let a = &self.data;
         let b = &other.data;
         // One contiguous row band per worker (par_chunks_mut assigns
@@ -286,18 +277,12 @@ impl Matrix {
 
     /// Matrix-vector product, parallel over output rows.
     pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        self.matvec_threads(v, 0)
-    }
-
-    /// [`Matrix::matvec`] with an explicit worker count (`0` = global
-    /// default).
-    pub fn matvec_threads(&self, v: &[f64], threads: usize) -> Result<Vec<f64>> {
         if v.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
                 context: format!("matvec: {}x{} * len {}", self.rows, self.cols, v.len()),
             });
         }
-        let threads = kernel_threads(threads, self.rows * self.cols);
+        let threads = kernel_threads(self.rows * self.cols);
         Ok(arda_par::par_for_rows(self.rows, threads, |range| {
             range
                 .map(|r| self.row(r).iter().zip(v).map(|(a, b)| a * b).sum())
@@ -307,12 +292,6 @@ impl Matrix {
 
     /// `selfᵀ * self` (Gram matrix), computed without materialising the
     /// transpose, parallel over output rows.
-    pub fn gram(&self) -> Matrix {
-        self.gram_threads(0)
-    }
-
-    /// [`Matrix::gram`] with an explicit worker count (`0` = global
-    /// default).
     ///
     /// Each worker owns a band of output rows and streams the input once,
     /// accumulating `out[i][j] += x[r][i] · x[r][j]` in ascending `r` for
@@ -323,13 +302,13 @@ impl Matrix {
     /// zero-skip can produce `0 · inf = NaN` in the lower triangle where
     /// the mirrored oracle skipped it; no workspace data path produces
     /// non-finite features.
-    pub fn gram_threads(&self, threads: usize) -> Matrix {
+    pub fn gram(&self) -> Matrix {
         let (n, d) = (self.rows, self.cols);
         let mut out = Matrix::zeros(d, d);
         if n == 0 || d == 0 {
             return out;
         }
-        let threads = kernel_threads(threads, n * d * d / 2);
+        let threads = kernel_threads(n * d * d / 2);
         let x = &self.data;
         let band_rows = d.div_ceil(threads).max(1);
         arda_par::par_chunks_mut(&mut out.data, band_rows * d, threads, |start, chunk| {
@@ -638,10 +617,10 @@ mod tests {
         // Regression: band sizes derive from this value, so the default
         // path must resolve to the real worker count, never the 0
         // placeholder (which would collapse every kernel to one band).
-        arda_par::set_default_threads(6);
-        assert_eq!(kernel_threads(0, PAR_MIN_OPS * 2), 6);
-        assert_eq!(kernel_threads(0, 10), 1, "small inputs stay sequential");
-        assert_eq!(kernel_threads(3, 10), 3, "explicit request wins");
+        arda_par::with_ambient(&arda_par::Budget::isolated(6), || {
+            assert_eq!(kernel_threads(PAR_MIN_OPS * 2), 6);
+            assert_eq!(kernel_threads(10), 1, "small inputs stay sequential");
+        });
     }
 
     #[test]
@@ -686,13 +665,20 @@ mod tests {
 
     #[test]
     fn blocked_kernels_match_naive_oracles_across_shapes_and_threads() {
-        // Shapes straddling every block/tile boundary constant.
+        // Shapes straddling every block/tile boundary constant. Kernels
+        // below `PAR_MIN_OPS` run as one band at any width, so the last
+        // three shapes clear it for every kernel they exercise while
+        // keeping fewer output rows than workers (20000x2, 7x700) or many
+        // transpose tiles (64x600).
         let shapes = [
             (1, 1, 1),
             (3, 7, 2),
             (17, 33, 9),
             (40, 130, 70),
             (65, 257, 31),
+            (20_000, 2, 1),
+            (7, 700, 9),
+            (64, 600, 3),
         ];
         for (si, &(n, k, m)) in shapes.iter().enumerate() {
             let a = filled(n, k, si as u64);
@@ -703,26 +689,27 @@ mod tests {
             let g_oracle = a.gram_naive();
             let mv_oracle = a.matvec_naive(&v).unwrap();
             for threads in [1, 2, 8] {
+                let budget = arda_par::Budget::isolated(threads);
+                let (mm, t, g, mv) = arda_par::with_ambient(&budget, || {
+                    (
+                        a.matmul(&b).unwrap(),
+                        a.transpose(),
+                        a.gram(),
+                        a.matvec(&v).unwrap(),
+                    )
+                });
                 assert_eq!(
-                    a.matmul_threads(&b, threads).unwrap().data(),
+                    mm.data(),
                     mm_oracle.data(),
                     "matmul {n}x{k}x{m} threads={threads}"
                 );
                 assert_eq!(
-                    a.transpose_threads(threads).data(),
+                    t.data(),
                     t_oracle.data(),
                     "transpose {n}x{k} threads={threads}"
                 );
-                assert_eq!(
-                    a.gram_threads(threads).data(),
-                    g_oracle.data(),
-                    "gram {n}x{k} threads={threads}"
-                );
-                assert_eq!(
-                    a.matvec_threads(&v, threads).unwrap(),
-                    mv_oracle,
-                    "matvec {n}x{k} threads={threads}"
-                );
+                assert_eq!(g.data(), g_oracle.data(), "gram {n}x{k} threads={threads}");
+                assert_eq!(mv, mv_oracle, "matvec {n}x{k} threads={threads}");
             }
         }
     }

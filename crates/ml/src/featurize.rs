@@ -101,7 +101,7 @@ pub fn featurize(
         .iter()
         .filter(|c| c.name() != target)
         .collect();
-    let threads = arda_par::threads_for(0, n * feature_cols.len().max(1), PAR_MIN_CELLS);
+    let threads = arda_par::threads_for(n * feature_cols.len().max(1), PAR_MIN_CELLS);
     let encoded: Vec<Vec<(String, Vec<f64>)>> =
         arda_par::par_map(&feature_cols, threads, |_, col| encode_column(col, n, opts));
 

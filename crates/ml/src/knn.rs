@@ -20,28 +20,18 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// `filter` receives each candidate row index; return `false` to skip it
 /// (Relief uses this to search hits and misses separately).
+///
+/// The scan plans with the ambient `arda-par` work budget, so callers
+/// already running many scans concurrently (Relief's anchor loop) give each
+/// scan its split of the shared budget and nesting cannot oversubscribe.
 pub fn nearest_neighbors(
     x: &Matrix,
     query: usize,
     k: usize,
     filter: impl Fn(usize) -> bool + Sync,
 ) -> Vec<usize> {
-    nearest_neighbors_threads(x, query, k, filter, 0)
-}
-
-/// [`nearest_neighbors`] with an explicit worker cap (`0` = the ambient
-/// `arda-par` work budget). Callers already running many scans concurrently
-/// (Relief's anchor loop) can leave this at 0: each scan plans with its
-/// split of the shared budget, so nesting cannot oversubscribe.
-pub fn nearest_neighbors_threads(
-    x: &Matrix,
-    query: usize,
-    k: usize,
-    filter: impl Fn(usize) -> bool + Sync,
-    threads: usize,
-) -> Vec<usize> {
     let q = x.row(query);
-    let threads = arda_par::threads_for(threads, x.rows(), PAR_MIN_ROWS);
+    let threads = arda_par::threads_for(x.rows(), PAR_MIN_ROWS);
     let mut candidates: Vec<(f64, usize)> = arda_par::par_for_rows(x.rows(), threads, |range| {
         range
             .filter(|&i| i != query && filter(i))

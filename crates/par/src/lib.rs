@@ -66,11 +66,13 @@
 //!   {1, 2, 8} (`tests/par_determinism.rs`).
 //! * **One knob.** The global budget size is read **once** from the
 //!   `ARDA_THREADS` environment variable (falling back to
-//!   [`std::thread::available_parallelism`]); every API takes a `threads`
-//!   argument where `0` means "use the ambient budget". Benchmarks and
-//!   tests that need to pin a size in-process use [`set_default_threads`]
-//!   or pass an explicit count (which overrides the planning width but
-//!   still cannot out-spawn the pool).
+//!   [`std::thread::available_parallelism`]). The budget is the only way
+//!   to choose a width: a plain primitive's `threads = 0` runs on the
+//!   ambient budget, [`current_budget`] reports its width, and
+//!   [`threads_for`] drops small inputs to `1`. Tests and benchmarks pin a
+//!   width by running the code under test inside [`with_ambient`] with a
+//!   [`Budget::isolated`] budget, or resize the global budget with
+//!   [`set_default_threads`].
 //!
 //! ## Choosing a primitive
 //!
@@ -333,8 +335,10 @@ pub fn current_budget() -> Budget {
 }
 
 /// Run `f` with `budget` installed as this thread's ambient budget,
-/// restoring the previous ambient afterwards (also on unwind).
-fn with_ambient<R>(budget: &Budget, f: impl FnOnce() -> R) -> R {
+/// restoring the previous ambient afterwards (also on unwind). Everything
+/// `f` runs — however deeply nested — plans with `budget`, so this is how a
+/// test pins a width: `with_ambient(&Budget::isolated(n), || ...)`.
+pub fn with_ambient<R>(budget: &Budget, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Budget>);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -347,30 +351,15 @@ fn with_ambient<R>(budget: &Budget, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Resolve a caller-supplied `threads` argument: `0` → the ambient budget's
-/// width. Only for callers that need a concrete number (e.g. to derive band
-/// sizes); the primitives accept `0` directly.
+/// The shared small-input policy for every parallel hot path: stay
+/// sequential (`1`) when the kernel touches fewer than `min_work` work
+/// units (thread spawn would dominate), and defer to the ambient budget
+/// (`0`) above that. `min_work` is clamped to at least 1 so `work == 0` can
+/// never request a full budget's worth of workers for nothing. The returned
+/// value is a `threads` argument for the primitives in this crate.
 #[inline]
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        current_budget().width()
-    } else {
-        requested
-    }
-}
-
-/// The shared small-input policy for every parallel hot path: an explicit
-/// caller request wins; otherwise stay sequential (`1`) when the kernel
-/// touches fewer than `min_work` work units (thread spawn would dominate),
-/// and defer to the ambient budget (`0`) above that. `min_work` is clamped
-/// to at least 1 so `work == 0` can never request a full budget's worth of
-/// workers for nothing. The returned value is a `threads` argument for the
-/// primitives in this crate.
-#[inline]
-pub fn threads_for(requested: usize, work: usize, min_work: usize) -> usize {
-    if requested != 0 {
-        requested
-    } else if work < min_work.max(1) {
+pub fn threads_for(work: usize, min_work: usize) -> usize {
+    if work < min_work.max(1) {
         1
     } else {
         0
@@ -715,12 +704,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_and_set_default() {
+    fn set_default_resizes_the_global_budget() {
         set_default_threads(3);
-        assert_eq!(resolve_threads(0), 3);
-        assert_eq!(resolve_threads(7), 7);
+        assert_eq!(current_budget().width(), 3);
         set_default_threads(0); // clamps to 1
-        assert_eq!(resolve_threads(0), 1);
+        assert_eq!(current_budget().width(), 1);
     }
 
     // ---- Budget unit tests -------------------------------------------------
@@ -834,16 +822,14 @@ mod tests {
 
     #[test]
     fn threads_for_clamps_empty_work() {
-        // An explicit request always wins.
-        assert_eq!(threads_for(5, 0, 0), 5);
         // work = 0 must never defer to the full budget, even with the
         // degenerate min_work = 0 that previously let it through.
-        assert_eq!(threads_for(0, 0, 0), 1);
-        assert_eq!(threads_for(0, 0, 100), 1);
+        assert_eq!(threads_for(0, 0), 1);
+        assert_eq!(threads_for(0, 100), 1);
         // At or above the (clamped) threshold → ambient budget.
-        assert_eq!(threads_for(0, 1, 0), 0);
-        assert_eq!(threads_for(0, 100, 100), 0);
-        assert_eq!(threads_for(0, 99, 100), 1);
+        assert_eq!(threads_for(1, 0), 0);
+        assert_eq!(threads_for(100, 100), 0);
+        assert_eq!(threads_for(99, 100), 1);
     }
 
     #[test]
@@ -851,11 +837,9 @@ mod tests {
         let b = Budget::isolated(4);
         with_ambient(&b, || {
             // Small work → sequential regardless of the ambient budget.
-            assert_eq!(resolve_threads(threads_for(0, 10, 1000)), 1);
+            assert_eq!(budget_for(threads_for(10, 1000)).width(), 1);
             // Large work → the ambient width.
-            assert_eq!(resolve_threads(threads_for(0, 10_000, 1000)), 4);
-            // Explicit request passes straight through.
-            assert_eq!(resolve_threads(threads_for(2, 10_000, 1000)), 2);
+            assert_eq!(budget_for(threads_for(10_000, 1000)).width(), 4);
         });
     }
 

@@ -38,11 +38,6 @@ pub struct L21Config {
     pub robust_labels: bool,
     /// Blend factor for robust labels.
     pub label_blend: f64,
-    /// Worker cap for the solver's matrix products (`0` = the ambient
-    /// `arda-par` work budget). Callers that run many solves concurrently
-    /// (RIFS rounds) can leave this at 0: each solve plans with its split
-    /// of the shared budget, so nesting cannot oversubscribe.
-    pub threads: usize,
 }
 
 impl Default for L21Config {
@@ -54,7 +49,6 @@ impl Default for L21Config {
             eps: 1e-8,
             robust_labels: false,
             label_blend: 0.3,
-            threads: 0,
         }
     }
 }
@@ -180,11 +174,7 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
         cholesky_solve_multi(&gram, &rhs).map_err(|e| SelectError::Invalid(e.to_string()))?;
 
     let objective = |w: &Matrix, y_cur: &Matrix| -> f64 {
-        let resid = x
-            .matmul_threads(w, cfg.threads)
-            .expect("dims")
-            .sub(y_cur)
-            .expect("dims");
+        let resid = x.matmul(w).expect("dims").sub(y_cur).expect("dims");
         l21_norm_rows(&resid) + cfg.gamma * l21_norm_rows(w)
     };
     let mut prev_obj = objective(&w, &y_work);
@@ -192,11 +182,7 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
 
     for it in 0..cfg.max_iter {
         iterations = it + 1;
-        let resid = x
-            .matmul_threads(&w, cfg.threads)
-            .expect("dims")
-            .sub(&y_work)
-            .expect("dims");
+        let resid = x.matmul(&w).expect("dims").sub(&y_work).expect("dims");
         let d1: Vec<f64> = resid
             .row_norms()
             .iter()
@@ -219,7 +205,7 @@ pub fn l21_solve(x: &Matrix, y: &Matrix, cfg: &L21Config) -> Result<L21Solution>
         // Optional robust-label refinement (classification): pull Y towards
         // the model's own hardened predictions.
         if cfg.robust_labels && y.cols() > 1 {
-            let pred = x.matmul_threads(&w, cfg.threads).expect("dims");
+            let pred = x.matmul(&w).expect("dims");
             for r in 0..n {
                 let best = (0..y.cols())
                     .max_by(|&a, &b| pred.get(r, a).total_cmp(&pred.get(r, b)))

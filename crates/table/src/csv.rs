@@ -450,7 +450,7 @@ fn infer_pass<R: Read>(reader: R, opts: &CsvReadOptions) -> Result<InferState> {
 
     let (mut types, mut n_rows) = infer_block(&first.text, 0, 1, width)?;
     loop {
-        let window = stream.next_window(arda_par::resolve_threads(0))?;
+        let window = stream.next_window(arda_par::current_budget().width())?;
         if window.is_empty() {
             break;
         }
@@ -604,7 +604,7 @@ fn build_pass<R: Read>(
     let mut stream = BlockStream::new(reader, opts.chunk_size);
     let mut first = true;
     loop {
-        let window = stream.next_window(arda_par::resolve_threads(0))?;
+        let window = stream.next_window(arda_par::current_budget().width())?;
         if window.is_empty() {
             break;
         }

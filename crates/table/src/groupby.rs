@@ -165,11 +165,8 @@ impl<'a> GroupBy<'a> {
             used.insert(name.clone());
             jobs.push((src, expr.agg, name));
         }
-        let threads = arda_par::threads_for(
-            0,
-            self.table.n_rows() * jobs.len().max(1),
-            PAR_MIN_AGG_CELLS,
-        );
+        let threads =
+            arda_par::threads_for(self.table.n_rows() * jobs.len().max(1), PAR_MIN_AGG_CELLS);
         let agg_cols = arda_par::par_map(&jobs, threads, |_, (src, agg, name)| {
             aggregate_column(src, &groups, *agg, name)
         });

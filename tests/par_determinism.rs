@@ -4,18 +4,24 @@
 //!
 //! The `arda-par` primitives hand each worker contiguous, ordered chunks
 //! and stitch results back in order, so these are *exact* equality
-//! assertions (no tolerances). Tests that exercise paths which read the
-//! global default worker count flip it with `set_default_threads`; that is
-//! safe to do concurrently precisely because of the property under test —
-//! results do not depend on the thread count.
+//! assertions (no tolerances). Kernel-level tests pin each width by running
+//! under `with_ambient(&Budget::isolated(n), ..)`; tests that exercise
+//! whole stages flip the global default with `set_default_threads`, which
+//! is safe to do concurrently precisely because of the property under test
+//! — results do not depend on the thread count.
 
 use arda::linalg::Matrix;
 use arda::prelude::*;
-use arda_par::set_default_threads;
+use arda_par::{set_default_threads, with_ambient, Budget};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
+
+/// Run `f` with the ambient work budget pinned to `threads`.
+fn at<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    with_ambient(&Budget::isolated(threads), f)
+}
 
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, sparse: bool) -> Matrix {
     let data = (0..rows * cols)
@@ -58,7 +64,7 @@ fn blocked_matmul_matches_reference_across_shapes_and_threads() {
         let b = random_matrix(&mut rng, k, m, case % 3 == 0);
         let expect = reference_matmul(&a, &b);
         for threads in THREAD_COUNTS {
-            let got = a.matmul_threads(&b, threads).unwrap();
+            let got = at(threads, || a.matmul(&b)).unwrap();
             assert_eq!(
                 got.data(),
                 expect.data(),
@@ -75,9 +81,9 @@ fn gram_matches_transpose_product_across_shapes_and_threads() {
         let n = rng.gen_range(1usize..400);
         let d = rng.gen_range(1usize..60);
         let x = random_matrix(&mut rng, n, d, case % 2 == 0);
-        let sequential = x.gram_threads(1);
+        let (sequential, transposed) = at(1, || (x.gram(), x.transpose()));
         // Mathematical oracle (different accumulation order → tolerance).
-        let explicit = reference_matmul(&x.transpose_threads(1), &x);
+        let explicit = reference_matmul(&transposed, &x);
         for (g, e) in sequential.data().iter().zip(explicit.data()) {
             assert!(
                 (g - e).abs() < 1e-9 * (1.0 + e.abs()),
@@ -85,14 +91,15 @@ fn gram_matches_transpose_product_across_shapes_and_threads() {
             );
         }
         for threads in THREAD_COUNTS {
+            let (gram, transpose) = at(threads, || (x.gram(), x.transpose()));
             assert_eq!(
-                x.gram_threads(threads).data(),
+                gram.data(),
                 sequential.data(),
                 "case {case}: gram {n}x{d} at {threads} threads"
             );
             assert_eq!(
-                x.transpose_threads(threads).data(),
-                x.transpose_threads(1).data(),
+                transpose.data(),
+                transposed.data(),
                 "case {case}: transpose {n}x{d} at {threads} threads"
             );
         }
@@ -187,12 +194,12 @@ fn forest_fit_identical_across_thread_counts() {
             let cfg = arda::ml::ForestConfig {
                 n_trees: 12,
                 seed: case,
-                n_threads: threads,
                 ..Default::default()
             };
-            let rf =
+            let rf = at(threads, || {
                 arda::ml::RandomForest::fit_xy(&x, &y, Task::Classification { n_classes: 2 }, &cfg)
-                    .unwrap();
+            })
+            .unwrap();
             let got = (rf.predict(&x).unwrap(), rf.importances().to_vec());
             match &reference {
                 None => reference = Some(got),
