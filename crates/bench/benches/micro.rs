@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the performance-critical primitives: hard/soft join
 //! throughput, group-by pre-aggregation, OSNAP sketching, the ℓ2,1 IRLS
-//! solver, random-forest fitting and RIFS fractions.
+//! solver, random-forest fitting (classification, and regression at a RIFS
+//! round's shape) and RIFS fractions.
 //!
 //! Runs under `cargo bench -p arda-bench` with the in-repo timing harness
 //! (`harness = false`; the build is offline, so no criterion). End-to-end
@@ -147,6 +148,40 @@ fn bench_forest(out: &mut Vec<Measurement>) {
     ));
 }
 
+/// A regression forest at the shape of a RIFS injection round (about
+/// 1500 rows × 216 features, 24 trees of depth 10): continuous signal and
+/// noise columns next to binary ones, so fits run the presorted split
+/// search with ties.
+fn bench_forest_regression(out: &mut Vec<Measurement>) {
+    let (n, d) = (1500, 216);
+    let mut rng = StdRng::seed_from_u64(7);
+    let data: Vec<f64> = (0..n * d)
+        .map(|i| {
+            if i % d % 4 == 3 {
+                rng.gen_range(0..2) as f64
+            } else {
+                rng.gen::<f64>()
+            }
+        })
+        .collect();
+    let x = Matrix::from_vec(n, d, data).unwrap();
+    let y: Vec<f64> = (0..n)
+        .map(|r| (0..8).map(|c| x.get(r, c) * (c + 1) as f64).sum::<f64>() + rng.gen::<f64>())
+        .collect();
+    let cfg = ForestConfig {
+        n_trees: 24,
+        max_depth: 10,
+        ..Default::default()
+    };
+    out.push(time_op(
+        "random_forest_fit_1500x216_24trees_reg",
+        WINDOW_SECS,
+        || {
+            black_box(RandomForest::fit_xy(&x, &y, Task::Regression, &cfg).unwrap());
+        },
+    ));
+}
+
 fn bench_rifs_fractions(out: &mut Vec<Measurement>) {
     let mut rng = StdRng::seed_from_u64(5);
     let rows: Vec<Vec<f64>> = (0..200)
@@ -208,6 +243,7 @@ fn main() {
     bench_sketch(&mut results);
     bench_l21(&mut results);
     bench_forest(&mut results);
+    bench_forest_regression(&mut results);
     bench_rifs_fractions(&mut results);
     bench_pipeline(&mut results);
     print_measurements(

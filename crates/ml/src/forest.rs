@@ -4,8 +4,17 @@
 //! ARDA uses Random Forests both as its default estimator ("lightly
 //! auto-optimized Random Forest", §7) and as one of the two RIFS ranking
 //! models (§6.2); the importances exposed here drive those rankings.
+//!
+//! A fit ranks `x`'s rows once per feature ([`crate::tree`]'s `Ranks`,
+//! `u32`, shared read-only by every tree) and grows each tree directly on
+//! its bootstrap row indices: no tree copies the sampled rows of `x`. Each
+//! tree counting-sorts its sample positions by those ranks and splits
+//! without sorting floats, and the trees are bit-identical to fitting plain
+//! sort-per-node CART on a `select_rows` copy of the bootstrap sample (the
+//! `cfg(test)` oracle checks this tree by tree). Training sets are limited
+//! to `u32::MAX` rows; larger ones are rejected, not truncated.
 
-use crate::tree::{DecisionTree, MaxFeatures, TreeConfig};
+use crate::tree::{check_row_capacity, DecisionTree, MaxFeatures, Ranks, TreeConfig};
 use crate::{Dataset, MlError, Result, Task};
 use arda_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -74,43 +83,12 @@ impl RandomForest {
                 y.len()
             )));
         }
+        check_row_capacity(x.rows())?;
         let max_features = cfg.max_features.unwrap_or(match task {
             Task::Classification { .. } => MaxFeatures::Sqrt,
             Task::Regression => MaxFeatures::Third,
         });
-
-        let n = x.rows();
-        // Pre-draw bootstrap indices and seeds so results are independent of
-        // thread scheduling.
-        let mut master = StdRng::seed_from_u64(cfg.seed);
-        let jobs: Vec<(u64, Vec<usize>)> = (0..cfg.n_trees)
-            .map(|_| {
-                let seed: u64 = master.gen();
-                let rows: Vec<usize> = if cfg.bootstrap {
-                    let mut r = StdRng::seed_from_u64(seed ^ 0xB00157);
-                    (0..n).map(|_| r.gen_range(0..n)).collect()
-                } else {
-                    (0..n).collect()
-                };
-                (seed, rows)
-            })
-            .collect();
-
-        let fit_one = |seed: u64, rows: &[usize]| -> Result<DecisionTree> {
-            let xs = x
-                .select_rows(rows)
-                .map_err(|e| MlError::ShapeMismatch(e.to_string()))?;
-            let ys: Vec<f64> = rows.iter().map(|&i| y[i]).collect();
-            let tree_cfg = TreeConfig {
-                max_depth: cfg.max_depth,
-                min_samples_split: cfg.min_samples_split,
-                min_samples_leaf: cfg.min_samples_leaf,
-                max_features,
-                seed,
-            };
-            DecisionTree::fit_xy(&xs, &ys, task, &tree_cfg)
-        };
-
+        let ranks = Ranks::new(x);
         // Every tree is fully determined by its pre-drawn (seed, rows) job,
         // so `par_map`'s ordered results are identical at any work-budget
         // size; the fit runs on the ambient budget (`ARDA_THREADS` at top
@@ -118,21 +96,10 @@ impl RandomForest {
         // its split of it, so nesting a fit under RIFS rounds or the
         // τ-sweep cannot oversubscribe.
         let trees: Vec<DecisionTree> =
-            arda_par::par_map(&jobs, 0, |_, (s, rows)| fit_one(*s, rows))
-                .into_iter()
-                .collect::<Result<_>>()?;
-
-        // Mean impurity decrease, normalised to sum to 1 (when non-zero).
-        let mut importances = vec![0.0; x.cols()];
-        for t in &trees {
-            for (acc, v) in importances.iter_mut().zip(t.importances()) {
-                *acc += v;
-            }
-        }
-        let total: f64 = importances.iter().sum();
-        if total > 0.0 {
-            importances.iter_mut().for_each(|v| *v /= total);
-        }
+            arda_par::par_map(&draw_jobs(cfg, x.rows()), 0, |_, (seed, rows)| {
+                DecisionTree::grow(x, y, &ranks, rows, task, &cfg.tree(max_features, *seed))
+            });
+        let importances = mean_importances(&trees, x.cols());
 
         Ok(RandomForest {
             trees,
@@ -197,6 +164,53 @@ impl RandomForest {
     pub fn task(&self) -> Task {
         self.task
     }
+}
+
+impl ForestConfig {
+    /// The growth parameters of one tree.
+    fn tree(&self, max_features: MaxFeatures, seed: u64) -> TreeConfig {
+        TreeConfig {
+            max_depth: self.max_depth,
+            min_samples_split: self.min_samples_split,
+            min_samples_leaf: self.min_samples_leaf,
+            max_features,
+            seed,
+        }
+    }
+}
+
+/// Each tree's (seed, sample rows), pre-drawn so results are independent
+/// of thread scheduling.
+fn draw_jobs(cfg: &ForestConfig, n: usize) -> Vec<(u64, Vec<usize>)> {
+    let mut master = StdRng::seed_from_u64(cfg.seed);
+    (0..cfg.n_trees)
+        .map(|_| {
+            let seed: u64 = master.gen();
+            let rows: Vec<usize> = if cfg.bootstrap {
+                let mut r = StdRng::seed_from_u64(seed ^ 0xB00157);
+                (0..n).map(|_| r.gen_range(0..n)).collect()
+            } else {
+                (0..n).collect()
+            };
+            (seed, rows)
+        })
+        .collect()
+}
+
+/// Mean impurity decrease over `trees`, normalised to sum to 1 (when
+/// non-zero).
+fn mean_importances(trees: &[DecisionTree], d: usize) -> Vec<f64> {
+    let mut importances = vec![0.0; d];
+    for t in trees {
+        for (acc, v) in importances.iter_mut().zip(t.importances()) {
+            *acc += v;
+        }
+    }
+    let total: f64 = importances.iter().sum();
+    if total > 0.0 {
+        importances.iter_mut().for_each(|v| *v /= total);
+    }
+    importances
 }
 
 #[cfg(test)]
@@ -297,6 +311,66 @@ mod tests {
         let (rf1, rf2) = (fit_at(1), fit_at(4));
         assert_eq!(rf1.predict(&d.x).unwrap(), rf2.predict(&d.x).unwrap());
         assert_eq!(rf1.importances(), rf2.importances());
+    }
+
+    #[test]
+    fn bootstrap_trees_match_sort_per_node_oracle_across_budgets() {
+        use crate::tree::oracle;
+        // √d classification at 300×60 sorts from the root; d/3 regression
+        // and `Exact(4)` at 300×21 presort and switch to sorting mid-tree.
+        let cases = [
+            (
+                Task::Classification { n_classes: 3 },
+                60,
+                MaxFeatures::Sqrt,
+                1,
+            ),
+            (
+                Task::Classification { n_classes: 3 },
+                21,
+                MaxFeatures::All,
+                2,
+            ),
+            (Task::Regression, 21, MaxFeatures::Third, 1),
+            (Task::Regression, 60, MaxFeatures::Exact(4), 3),
+        ];
+        for (case, &(task, d, max_features, min_samples_leaf)) in cases.iter().enumerate() {
+            let (x, y) = oracle::mixed_case(300, d, task, 40 + case as u64);
+            let cfg = ForestConfig {
+                n_trees: 6,
+                max_depth: 10,
+                min_samples_leaf,
+                max_features: Some(max_features),
+                seed: case as u64,
+                ..Default::default()
+            };
+            let oracle_trees: Vec<DecisionTree> = draw_jobs(&cfg, x.rows())
+                .iter()
+                .map(|(seed, rows)| {
+                    let ys: Vec<f64> = rows.iter().map(|&r| y[r]).collect();
+                    let xs = x.select_rows(rows).unwrap();
+                    oracle::fit_xy(&xs, &ys, task, &cfg.tree(max_features, *seed))
+                })
+                .collect();
+            let oracle_importances: Vec<u64> = mean_importances(&oracle_trees, d)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            for width in [1, 2, 8] {
+                let rf = arda_par::with_ambient(&arda_par::Budget::isolated(width), || {
+                    RandomForest::fit_xy(&x, &y, task, &cfg).unwrap()
+                });
+                for (t, (tree, oracle)) in rf.trees.iter().zip(&oracle_trees).enumerate() {
+                    assert_eq!(
+                        tree.bits(),
+                        oracle.bits(),
+                        "case {case} tree {t} width {width}"
+                    );
+                }
+                let importances: Vec<u64> = rf.importances().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(importances, oracle_importances, "case {case} width {width}");
+            }
+        }
     }
 
     #[test]

@@ -172,40 +172,101 @@ fn soft_joins_identical_across_thread_counts() {
     }
 }
 
+/// One forest-determinism case: a classification set with a signal column
+/// and two noise columns, or a regression set with heavily tied columns
+/// (binary, 5-level, one-hot) next to continuous signal and noise.
+fn forest_case(task: Task, case: u64) -> (Matrix, Vec<f64>) {
+    let n = 240;
+    match task {
+        Task::Classification { .. } => {
+            let mut rng = StdRng::seed_from_u64(300 + case);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let cls = (i % 2) as f64;
+                    vec![
+                        cls * 2.0 + rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                        rng.gen_range(-1.0..1.0),
+                    ]
+                })
+                .collect();
+            let y = (0..n).map(|i| (i % 2) as f64).collect();
+            (Matrix::from_rows(&rows).unwrap(), y)
+        }
+        Task::Regression => {
+            let mut rng = StdRng::seed_from_u64(310 + case);
+            let mut y = Vec::with_capacity(n);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    let signal: f64 = rng.gen_range(0.0..4.0);
+                    let flag = rng.gen_range(0..2) as f64;
+                    let level = rng.gen_range(0..5) as f64;
+                    let hot = rng.gen_range(0..3);
+                    y.push(signal + 2.0 * flag - 0.5 * level + rng.gen_range(-0.3..0.3));
+                    vec![
+                        signal,
+                        flag,
+                        level,
+                        (hot == 0) as u8 as f64,
+                        (hot == 1) as u8 as f64,
+                        (hot == 2) as u8 as f64,
+                        rng.gen_range(-1.0..1.0),
+                    ]
+                })
+                .collect();
+            (Matrix::from_rows(&rows).unwrap(), y)
+        }
+    }
+}
+
+/// FNV-1a over the bit patterns of `values`, continuing from `hash`.
+fn fnv1a(hash: u64, values: &[f64]) -> u64 {
+    values.iter().fold(hash, |h, v| {
+        v.to_bits().to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
 #[test]
 fn forest_fit_identical_across_thread_counts() {
-    for case in 0..3u64 {
-        let mut rng = StdRng::seed_from_u64(300 + case);
-        let n = 240;
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|i| {
-                let cls = (i % 2) as f64;
-                vec![
-                    cls * 2.0 + rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                    rng.gen_range(-1.0..1.0),
-                ]
-            })
-            .collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<f64> = (0..n).map(|i| (i % 2) as f64).collect();
-        let mut reference: Option<(Vec<f64>, Vec<f64>)> = None;
-        for threads in THREAD_COUNTS {
-            let cfg = arda::ml::ForestConfig {
-                n_trees: 12,
-                seed: case,
-                ..Default::default()
-            };
-            let rf = at(threads, || {
-                arda::ml::RandomForest::fit_xy(&x, &y, Task::Classification { n_classes: 2 }, &cfg)
-            })
-            .unwrap();
-            let got = (rf.predict(&x).unwrap(), rf.importances().to_vec());
-            match &reference {
-                None => reference = Some(got),
-                Some(r) => assert_eq!(&got, r, "case {case}: forest at {threads} threads"),
+    // Golden fingerprints of every case's predictions and importances,
+    // recorded with the original sort-per-node split search: a split-search
+    // change that moves one bit of one tree fails here.
+    let goldens = [
+        (Task::Classification { n_classes: 2 }, 0xa42f_a248_4025_ec90),
+        (Task::Regression, 0x2fd0_8733_f1b6_c526),
+    ];
+    for (task, golden) in goldens {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for case in 0..3u64 {
+            let (x, y) = forest_case(task, case);
+            let mut reference: Option<(Vec<f64>, Vec<f64>)> = None;
+            for threads in THREAD_COUNTS {
+                let cfg = arda::ml::ForestConfig {
+                    n_trees: 12,
+                    seed: case,
+                    ..Default::default()
+                };
+                let rf = at(threads, || {
+                    arda::ml::RandomForest::fit_xy(&x, &y, task, &cfg)
+                })
+                .unwrap();
+                let got = (rf.predict(&x).unwrap(), rf.importances().to_vec());
+                match &reference {
+                    None => reference = Some(got),
+                    Some(r) => {
+                        assert_eq!(&got, r, "{task:?} case {case}: forest at {threads} threads")
+                    }
+                }
             }
+            let (preds, importances) = reference.unwrap();
+            hash = fnv1a(fnv1a(hash, &preds), &importances);
         }
+        assert_eq!(
+            hash, golden,
+            "{task:?}: forest fingerprint drifted ({hash:#018x})"
+        );
     }
 }
 
