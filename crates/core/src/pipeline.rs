@@ -6,7 +6,7 @@ use crate::plan::{plan_batches, JoinPlan};
 use crate::{ArdaError, Result};
 use arda_coreset::{row_coreset, CoresetSpec};
 use arda_discovery::{discover_joins, CandidateJoin, DiscoveryConfig, KeyKind, Repository};
-use arda_join::{execute_join, impute::impute, stats::join_stats, JoinKind, JoinSpec, SoftMethod};
+use arda_join::{execute_join, impute::impute, JoinKind, JoinSpec, SoftMethod};
 use arda_ml::model::holdout_score;
 use arda_ml::{featurize, Dataset, FeaturizeOptions, ModelKind};
 use arda_select::{
@@ -88,7 +88,8 @@ pub struct AugmentationReport {
     pub joins_executed: usize,
     /// Candidates eliminated by the Tuple-Ratio prefilter.
     pub tr_eliminated: usize,
-    /// Total wall-clock seconds.
+    /// Total wall-clock seconds: of discovery and augmentation under
+    /// [`Arda::run`], of augmentation alone under [`Arda::augment`].
     pub seconds: f64,
 }
 
@@ -117,13 +118,18 @@ impl Arda {
     }
 
     /// Full pipeline: discover candidate joins in `repo`, then augment.
+    /// The report's `seconds` covers discovery too.
     pub fn run(&self, base: &Table, repo: &Repository, target: &str) -> Result<AugmentationReport> {
+        let start = Instant::now();
         let candidates = discover_joins(base, repo, &self.config.discovery)?;
-        self.augment(base, repo, &candidates, target)
+        let mut report = self.augment(base, repo, &candidates, target)?;
+        report.seconds = start.elapsed().as_secs_f64();
+        Ok(report)
     }
 
     /// Augment `base` using a caller-provided (discovery-system) candidate
-    /// list.
+    /// list. With the Tuple-Ratio prefilter on, each candidate's
+    /// [`CandidateJoin::foreign_distinct`] decides it, unchecked.
     pub fn augment(
         &self,
         base: &Table,
@@ -176,41 +182,20 @@ impl Arda {
                 )));
             }
         }
-        let mut active: Vec<CandidateJoin> = Vec::with_capacity(candidates.len());
-        let mut tr_eliminated = 0usize;
-        if let Some(tau) = cfg.tr_threshold {
-            // Per-candidate stats are independent, so the prefilter fans
-            // out on the work budget; on a sharded repository each worker
-            // streams its candidate's shard in concurrently (instead of a
-            // sequential load-parse-evict walk on the critical path). The
-            // fold below runs in candidate order, so `active`, the
-            // eliminated count and the earliest error are identical to
-            // the sequential scan.
-            let verdicts: Vec<Result<TupleRatioDecision>> =
-                arda_par::par_map(candidates, 0, |_, c| {
-                    let foreign = repo.table(c.table_index)?;
-                    let stats = join_stats(
-                        &kept,
-                        &foreign,
-                        &[c.base_key.as_str()],
-                        &[c.foreign_key.as_str()],
-                    )?;
-                    Ok(tuple_ratio_filter(
-                        kept.n_rows(),
-                        stats.foreign_distinct,
-                        tau,
-                    ))
-                });
-            for (c, verdict) in candidates.iter().zip(verdicts) {
-                if verdict? == TupleRatioDecision::Eliminate {
-                    tr_eliminated += 1;
-                } else {
-                    active.push(c.clone());
-                }
-            }
-        } else {
-            active.extend(candidates.iter().cloned());
-        }
+        // The rule needs only the foreign-key domain size, which discovery
+        // recorded on each candidate from the key profile it scored the
+        // pair with; an eliminated candidate's table is never loaded.
+        let active: Vec<CandidateJoin> = candidates
+            .iter()
+            .filter(|c| {
+                cfg.tr_threshold.is_none_or(|tau| {
+                    tuple_ratio_filter(kept.n_rows(), c.foreign_distinct, tau)
+                        == TupleRatioDecision::Keep
+                })
+            })
+            .cloned()
+            .collect();
+        let tr_eliminated = candidates.len() - active.len();
 
         // ---- Base-only reference score ---------------------------------
         let base_ds = featurize(&kept, target, cfg.force_classification, &cfg.featurize)?;

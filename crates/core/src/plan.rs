@@ -112,6 +112,7 @@ mod tests {
             foreign_key: "k".into(),
             kind: KeyKind::Hard,
             score: 1.0 - i as f64 * 0.1,
+            foreign_distinct: 2,
         }
     }
 

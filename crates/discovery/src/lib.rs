@@ -10,13 +10,18 @@
 //!
 //! * column-pair candidate mining with type-compatibility rules,
 //! * value-overlap (intersection / Jaccard) scoring, with a bonus for
-//!   matching column names,
+//!   matching column names. Each keyable base column is profiled once per
+//!   [`discover_joins`] call and each foreign column once per table
+//!   ([`arda_join::stats::KeyProfile`]), and every column pair is scored
+//!   from the two profiles,
 //! * hard/soft key classification — timestamp-typed pairs and numeric pairs
 //!   with range overlap but little exact-value overlap become *soft* keys
 //!   (the weather-vs-taxi time-key situation), everything else *hard*,
 //! * relevance-ranked output: a `Vec<CandidateJoin>` exactly like the input
 //!   ARDA expects, including the ranking "ARDA can optionally make use of
-//!   ... to prioritize its search" (§3).
+//!   ... to prioritize its search" (§3). Each candidate also carries its
+//!   foreign-key domain size ([`CandidateJoin::foreign_distinct`]), so the
+//!   Tuple-Ratio prefilter decides without loading the table again.
 //!
 //! ## Sharded repositories
 //!
@@ -72,7 +77,7 @@
 //! deterministic regardless of cache hits, evictions, catalog hits or
 //! load order.
 
-use arda_join::stats::join_stats;
+use arda_join::stats::KeyProfile;
 use arda_table::{Column, CsvReadOptions, DataType, Table, TableError};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -102,6 +107,13 @@ pub struct CandidateJoin {
     pub kind: KeyKind,
     /// Relevance score (higher = more promising).
     pub score: f64,
+    /// Distinct non-null values of `foreign_key` in the foreign table: the
+    /// foreign-key domain size `nR` of the Tuple-Ratio rule, recorded from
+    /// the key profile discovery scored the pair with. `Arda::augment`'s
+    /// TR prefilter trusts it without loading the table, so a caller who
+    /// builds candidates by hand and turns TR on must fill it in
+    /// (`arda_join::stats::join_stats(..).foreign_distinct`).
+    pub foreign_distinct: usize,
 }
 
 /// One entry of a repository: either a resident table or a shard on disk,
@@ -812,28 +824,59 @@ fn range_overlap(base: &Table, bcol: &str, foreign: &Table, fcol: &str) -> f64 {
     }
 }
 
+/// Whether a foreign column of dtype `fd` can key a join with some base
+/// column, given the dtypes of the base's keyable columns.
+fn pairs_with_base(base_key_dtypes: &[DataType], fd: DataType) -> bool {
+    keyable(fd) && base_key_dtypes.iter().any(|&bd| compatible(bd, fd))
+}
+
+/// Key profiles of a table's keyable columns, by column position (`None`
+/// for a column that cannot key a join, or whose dtype no column on the
+/// other side is compatible with).
+fn key_profiles(
+    table: &Table,
+    wanted: impl Fn(DataType) -> bool,
+) -> Result<Vec<Option<KeyProfile>>, TableError> {
+    table
+        .columns()
+        .iter()
+        .map(|col| {
+            if !keyable(col.dtype()) || !wanted(col.dtype()) {
+                return Ok(None);
+            }
+            KeyProfile::of(table, &[col.name()])
+                .map(Some)
+                .map_err(|e| match e {
+                    arda_join::JoinError::Table(t) => t,
+                    other => TableError::Invalid(other.to_string()),
+                })
+        })
+        .collect()
+}
+
 /// Mine and score every candidate of `base` against one repository table,
 /// returning that table's best candidates (descending score, capped).
+/// `base_profiles` are [`key_profiles`] of `base` and `base_key_dtypes`
+/// the dtypes of its keyable columns; each foreign column is profiled once
+/// here, whatever the number of base columns it pairs with.
 fn mine_table(
     base: &Table,
+    base_profiles: &[Option<KeyProfile>],
+    base_key_dtypes: &[DataType],
     ti: usize,
     foreign: &Table,
     cfg: &DiscoveryConfig,
 ) -> Result<Vec<CandidateJoin>, TableError> {
+    let foreign_profiles = key_profiles(foreign, |fd| pairs_with_base(base_key_dtypes, fd))?;
     let mut per_table: Vec<CandidateJoin> = Vec::new();
-    for bcol in base.columns() {
-        if !keyable(bcol.dtype()) {
-            continue;
-        }
-        for fcol in foreign.columns() {
-            if !keyable(fcol.dtype()) || !compatible(bcol.dtype(), fcol.dtype()) {
+    for (bcol, bprof) in base.columns().iter().zip(base_profiles) {
+        let Some(bprof) = bprof else { continue };
+        for (fcol, fprof) in foreign.columns().iter().zip(&foreign_profiles) {
+            let Some(fprof) = fprof else { continue };
+            if !compatible(bcol.dtype(), fcol.dtype()) {
                 continue;
             }
-            let stats =
-                join_stats(base, foreign, &[bcol.name()], &[fcol.name()]).map_err(|e| match e {
-                    arda_join::JoinError::Table(t) => t,
-                    other => TableError::Invalid(other.to_string()),
-                })?;
+            let stats = bprof.join_stats(fprof);
             let exact = stats.intersection_score();
             let name_match = bcol.name().eq_ignore_ascii_case(fcol.name())
                 || bcol
@@ -877,6 +920,7 @@ fn mine_table(
                     foreign_key: fcol.name().to_string(),
                     kind,
                     score,
+                    foreign_distinct: stats.foreign_distinct,
                 });
             }
         }
@@ -912,18 +956,19 @@ pub fn discover_joins(
         .map(|c| c.dtype())
         .filter(|&d| keyable(d))
         .collect();
+    let base_profiles = key_profiles(base, |_| true)?;
     let indices: Vec<usize> = (0..repo.len()).collect();
     let mined = arda_par::par_map(&indices, 0, |_, &ti| {
         if let Some(dtypes) = repo.dtypes(ti) {
-            let joinable = dtypes
+            if !dtypes
                 .iter()
-                .any(|&fd| keyable(fd) && base_key_dtypes.iter().any(|&bd| compatible(bd, fd)));
-            if !joinable {
+                .any(|&fd| pairs_with_base(&base_key_dtypes, fd))
+            {
                 return Ok(Vec::new());
             }
         }
         let foreign = repo.table(ti)?;
-        mine_table(base, ti, &foreign, cfg)
+        mine_table(base, &base_profiles, &base_key_dtypes, ti, &foreign, cfg)
     });
     let mut all = Vec::new();
     for per_table in mined {

@@ -5,7 +5,7 @@
 
 use crate::Result;
 use arda_table::{Key, Table};
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// Statistics of one candidate (base, foreign, key) pairing.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +54,54 @@ impl JoinStats {
     }
 }
 
+/// The distinct non-null join keys of a key column (or composite key),
+/// each with the number of rows carrying it. Every [`JoinStats`] integer
+/// is a function of the two sides' profiles, so a column that takes part
+/// in many candidate pairs is keyed and hashed once, not once per pair.
+#[derive(Debug, Clone)]
+pub struct KeyProfile {
+    rows: usize,
+    counts: HashMap<Key, usize>,
+}
+
+impl KeyProfile {
+    /// Profile `key_columns` of `table` (nulls, and composite keys with a
+    /// null part, are counted as rows but never as keys).
+    pub fn of(table: &Table, key_columns: &[&str]) -> Result<KeyProfile> {
+        let mut counts: HashMap<Key, usize> = HashMap::new();
+        for key in table.keys(key_columns)?.into_iter().flatten() {
+            *counts.entry(key).or_insert(0) += 1;
+        }
+        Ok(KeyProfile {
+            rows: table.n_rows(),
+            counts,
+        })
+    }
+
+    /// Distinct non-null keys.
+    pub fn distinct(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// [`JoinStats`] of joining `self` (the base side) onto `foreign`.
+    pub fn join_stats(&self, foreign: &KeyProfile) -> JoinStats {
+        let (mut matched_rows, mut shared_distinct) = (0, 0);
+        for (key, &n) in &self.counts {
+            if foreign.counts.contains_key(key) {
+                matched_rows += n;
+                shared_distinct += 1;
+            }
+        }
+        JoinStats {
+            matched_rows,
+            base_rows: self.rows,
+            base_distinct: self.distinct(),
+            foreign_distinct: foreign.distinct(),
+            shared_distinct,
+        }
+    }
+}
+
 /// Compute [`JoinStats`] for a hard-key candidate.
 pub fn join_stats(
     base: &Table,
@@ -61,25 +109,42 @@ pub fn join_stats(
     base_keys: &[&str],
     foreign_keys: &[&str],
 ) -> Result<JoinStats> {
-    let bkeys = base.keys(base_keys)?;
-    let fkeys = foreign.keys(foreign_keys)?;
-    let fset: HashSet<&Key> = fkeys.iter().flatten().collect();
-    let bset: HashSet<&Key> = bkeys.iter().flatten().collect();
-    let matched_rows = bkeys.iter().flatten().filter(|k| fset.contains(k)).count();
-    let shared_distinct = bset.iter().filter(|k| fset.contains(*k)).count();
-    Ok(JoinStats {
-        matched_rows,
-        base_rows: base.n_rows(),
-        base_distinct: bset.len(),
-        foreign_distinct: fset.len(),
-        shared_distinct,
-    })
+    Ok(KeyProfile::of(base, base_keys)?.join_stats(&KeyProfile::of(foreign, foreign_keys)?))
+}
+
+/// The pair-at-a-time implementation the profiles replaced, kept verbatim
+/// as the reference the profile-based [`join_stats`] must reproduce.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::collections::HashSet;
+
+    pub fn join_stats(
+        base: &Table,
+        foreign: &Table,
+        base_keys: &[&str],
+        foreign_keys: &[&str],
+    ) -> Result<JoinStats> {
+        let bkeys = base.keys(base_keys)?;
+        let fkeys = foreign.keys(foreign_keys)?;
+        let fset: HashSet<&Key> = fkeys.iter().flatten().collect();
+        let bset: HashSet<&Key> = bkeys.iter().flatten().collect();
+        let matched_rows = bkeys.iter().flatten().filter(|k| fset.contains(k)).count();
+        let shared_distinct = bset.iter().filter(|k| fset.contains(*k)).count();
+        Ok(JoinStats {
+            matched_rows,
+            base_rows: base.n_rows(),
+            base_distinct: bset.len(),
+            foreign_distinct: fset.len(),
+            shared_distinct,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arda_table::Column;
+    use arda_table::{Column, DataType, Value};
 
     fn tables() -> (Table, Table) {
         let base = Table::new("b", vec![Column::from_i64("k", vec![1, 1, 2, 3])]).unwrap();
@@ -142,5 +207,99 @@ mod tests {
         let s = join_stats(&b, &f, &["a", "b"], &["a", "b"]).unwrap();
         assert_eq!(s.matched_rows, 1);
         assert_eq!(s.shared_distinct, 1);
+    }
+
+    /// A column of `n` values of `dtype` drawn from a small domain of
+    /// `domain` distinct values (so duplicates are common), a `null_every`
+    /// share of them null.
+    fn column(
+        name: &str,
+        dtype: DataType,
+        n: usize,
+        domain: u64,
+        null_every: u64,
+        seed: u64,
+    ) -> Column {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let values: Vec<Value> = (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let v = state % domain.max(1);
+                if null_every > 0 && (state >> 32).is_multiple_of(null_every) {
+                    return Value::Null;
+                }
+                match dtype {
+                    DataType::Int => Value::Int(v as i64 - 3),
+                    DataType::Timestamp => Value::Timestamp(1_000 * v as i64),
+                    DataType::Str => Value::Str(format!("k{v}")),
+                    DataType::Bool => Value::Bool(v.is_multiple_of(2)),
+                    // -0.0 and 0.0 key apart (by bit pattern), NaN never keys.
+                    DataType::Float => match v {
+                        0 => Value::Float(-0.0),
+                        1 => Value::Float(f64::NAN),
+                        _ => Value::Float(v as f64 / 4.0),
+                    },
+                }
+            })
+            .collect();
+        Column::from_values(name, dtype, values).unwrap()
+    }
+
+    #[test]
+    fn profiles_match_the_pairwise_oracle() {
+        let dtypes = [
+            DataType::Int,
+            DataType::Str,
+            DataType::Timestamp,
+            DataType::Bool,
+            DataType::Float,
+        ];
+        let mut cases = 0;
+        for (d, &dtype) in dtypes.iter().enumerate() {
+            for &(nb, nf) in &[(0, 0), (0, 7), (9, 0), (1, 1), (40, 25), (300, 600)] {
+                for &(domain, null_every) in &[(1, 0), (5, 3), (60, 0), (400, 7)] {
+                    let seed = (d * 1000 + nb + nf) as u64 + domain;
+                    let b = column("k", dtype, nb, domain, null_every, seed);
+                    let b2 = column("j", DataType::Int, nb, 3, 5, seed + 1);
+                    let f = column("k", dtype, nf, domain + 3, null_every, seed + 2);
+                    let f2 = column("j", DataType::Int, nf, 3, 0, seed + 3);
+                    let base = Table::new("b", vec![b, b2]).unwrap();
+                    let foreign = Table::new("f", vec![f, f2]).unwrap();
+                    for keys in [&["k"][..], &["k", "j"][..]] {
+                        let got = join_stats(&base, &foreign, keys, keys).unwrap();
+                        let want = oracle::join_stats(&base, &foreign, keys, keys).unwrap();
+                        assert_eq!(
+                            got, want,
+                            "{dtype:?} {nb}x{nf} domain {domain} keys {keys:?}"
+                        );
+                        // Swapped sides: the base now has the wider domain.
+                        let got = join_stats(&foreign, &base, keys, keys).unwrap();
+                        let want = oracle::join_stats(&foreign, &base, keys, keys).unwrap();
+                        assert_eq!(got, want, "swapped {dtype:?} {nb}x{nf} keys {keys:?}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 5 * 6 * 4 * 2);
+    }
+
+    #[test]
+    fn profile_counts_rows_and_distinct_keys() {
+        let t = Table::new(
+            "t",
+            vec![Column::from_str_opt(
+                "k",
+                vec![Some("a".into()), None, Some("a".into()), Some("b".into())],
+            )],
+        )
+        .unwrap();
+        let p = KeyProfile::of(&t, &["k"]).unwrap();
+        assert_eq!(p.distinct(), 2);
+        let s = p.join_stats(&p);
+        assert_eq!((s.base_rows, s.matched_rows, s.shared_distinct), (4, 3, 2));
+        assert!(KeyProfile::of(&t, &["missing"]).is_err());
     }
 }
