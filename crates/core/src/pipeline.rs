@@ -233,30 +233,24 @@ impl Arda {
                     foreign_keys: vec![cand.foreign_key.clone()],
                     kind,
                 };
-                let before: HashSet<&str> = snapshot.columns().iter().map(|c| c.name()).collect();
+                // `execute_join` appends the foreign columns after the
+                // base's, so the new columns are the ones past its width.
                 let joined = execute_join(snapshot, &foreign, &spec, cfg.seed)?;
-                let mut extras = Table::empty(cand.table_name.clone());
-                for col in joined.columns() {
-                    if !before.contains(col.name()) {
-                        extras.add_column(col.clone()).map_err(ArdaError::from)?;
-                    }
-                }
-                Ok(extras)
+                let new_cols = joined.columns()[snapshot.n_cols()..].to_vec();
+                Ok(Table::new(cand.table_name.clone(), new_cols)?)
             });
 
+            // Column clones share their values, so each `hstack` here costs
+            // O(columns), not a copy of the growing table. `hstack` only
+            // appends, each column under a new name, so a candidate's
+            // columns are exactly those past the previous width.
             let mut joined = kept.clone();
             for (cand, extras) in batch.iter().zip(extra_tables) {
-                let before: HashSet<String> = joined
-                    .columns()
-                    .iter()
-                    .map(|c| c.name().to_string())
-                    .collect();
+                let first_new = joined.n_cols();
                 joined = joined.hstack(&extras?)?;
                 joins_executed += 1;
-                for col in joined.columns() {
-                    if !before.contains(col.name()) {
-                        provenance.insert(col.name().to_string(), cand.table_name.clone());
-                    }
+                for col in &joined.columns()[first_new..] {
+                    provenance.insert(col.name().to_string(), cand.table_name.clone());
                 }
             }
 

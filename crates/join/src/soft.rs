@@ -244,7 +244,7 @@ pub fn two_way_nearest_join(
     for col in new_cols {
         extras.add_column(col?)?;
     }
-    Ok(base.clone().hstack(&extras)?)
+    Ok(base.hstack(&extras)?)
 }
 
 #[cfg(test)]

@@ -249,6 +249,11 @@ pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> 
             "RIFS needs a non-empty threshold grid".into(),
         ));
     }
+    if data.n_features() == 0 {
+        return Err(SelectError::Invalid(
+            "RIFS needs at least one feature; the feature set is empty".into(),
+        ));
+    }
     let train_data = data.select_rows(&ctx.train)?;
     let fractions = rifs_fractions(&train_data, cfg, ctx.seed)?;
 
@@ -444,6 +449,24 @@ mod tests {
             ..fast_cfg()
         };
         assert!(rifs_select(&d, &ctx, &cfg).is_err());
+    }
+
+    /// Featurizing a table whose non-target columns are all null leaves no
+    /// features; the fallback used to index the empty fraction list.
+    #[test]
+    fn empty_feature_set_rejected() {
+        let d = Dataset::new(
+            Matrix::zeros(40, 0),
+            (0..40).map(|i| (i % 2) as f64).collect(),
+            Vec::new(),
+            Task::Classification { n_classes: 2 },
+        )
+        .unwrap();
+        let ctx = SelectionContext::standard(&d, 4);
+        match rifs_select(&d, &ctx, &fast_cfg()) {
+            Err(SelectError::Invalid(msg)) => assert!(msg.contains("empty"), "{msg}"),
+            other => panic!("expected an Invalid error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Typed, named columns with null masks.
 
+use std::sync::Arc;
+
 use crate::{DataType, Result, TableError, Value};
 
 /// Physical storage for one column. Each variant stores values alongside an
@@ -48,10 +50,16 @@ impl ColumnData {
 }
 
 /// A named column of homogeneously typed values.
+///
+/// The values sit behind an [`Arc`], so cloning a column (and therefore a
+/// [`crate::Table`]) copies only the name and bumps a reference count; the
+/// clone shares its values with the original. [`Self::push`], the only
+/// method that mutates values, copies a shared column's values once before
+/// writing (copy-on-write), so a clone never observes another's edits.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     name: String,
-    data: ColumnData,
+    data: Arc<ColumnData>,
 }
 
 impl Column {
@@ -59,7 +67,7 @@ impl Column {
     pub fn new(name: impl Into<String>, data: ColumnData) -> Self {
         Column {
             name: name.into(),
-            data,
+            data: Arc::new(data),
         }
     }
 
@@ -206,7 +214,7 @@ impl Column {
                 ColumnData::Timestamp(out)
             }
         };
-        Ok(Column { name, data })
+        Ok(Column::new(name, data))
     }
 
     /// Column name.
@@ -241,7 +249,7 @@ impl Column {
 
     /// Number of null entries.
     pub fn null_count(&self) -> usize {
-        match &self.data {
+        match &*self.data {
             ColumnData::Int(v) => v.iter().filter(|x| x.is_none()).count(),
             ColumnData::Float(v) => v.iter().filter(|x| x.is_none()).count(),
             ColumnData::Str(v) => v.iter().filter(|x| x.is_none()).count(),
@@ -252,7 +260,7 @@ impl Column {
 
     /// Dynamically typed view of row `i` (panics if out of bounds).
     pub fn get(&self, i: usize) -> Value {
-        match &self.data {
+        match &*self.data {
             ColumnData::Int(v) => v[i].map_or(Value::Null, Value::Int),
             ColumnData::Float(v) => v[i].map_or(Value::Null, Value::Float),
             ColumnData::Str(v) => v[i].clone().map_or(Value::Null, Value::Str),
@@ -274,7 +282,7 @@ impl Column {
 
     /// Numeric view of row `i` (`None` for nulls and non-numeric values).
     pub fn get_f64(&self, i: usize) -> Option<f64> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Int(v) => v[i].map(|x| x as f64),
             ColumnData::Float(v) => v[i],
             ColumnData::Timestamp(v) => v[i].map(|x| x as f64),
@@ -289,17 +297,14 @@ impl Column {
         fn gather<T: Clone>(v: &[Option<T>], idx: &[usize]) -> Vec<Option<T>> {
             idx.iter().map(|&i| v[i].clone()).collect()
         }
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int(v) => ColumnData::Int(gather(v, indices)),
             ColumnData::Float(v) => ColumnData::Float(gather(v, indices)),
             ColumnData::Str(v) => ColumnData::Str(gather(v, indices)),
             ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices)),
             ColumnData::Timestamp(v) => ColumnData::Timestamp(gather(v, indices)),
         };
-        Column {
-            name: self.name.clone(),
-            data,
-        }
+        Column::new(self.name.clone(), data)
     }
 
     /// Gather rows at optional `indices`; `None` produces a null row. This is
@@ -308,17 +313,14 @@ impl Column {
         fn gather<T: Clone>(v: &[Option<T>], idx: &[Option<usize>]) -> Vec<Option<T>> {
             idx.iter().map(|i| i.and_then(|i| v[i].clone())).collect()
         }
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int(v) => ColumnData::Int(gather(v, indices)),
             ColumnData::Float(v) => ColumnData::Float(gather(v, indices)),
             ColumnData::Str(v) => ColumnData::Str(gather(v, indices)),
             ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices)),
             ColumnData::Timestamp(v) => ColumnData::Timestamp(gather(v, indices)),
         };
-        Column {
-            name: self.name.clone(),
-            data,
-        }
+        Column::new(self.name.clone(), data)
     }
 
     /// All values as `f64` with nulls/non-numerics as `None`.
@@ -332,7 +334,8 @@ impl Column {
     }
 
     /// Append a single dynamically typed value (must match the column type or
-    /// be null).
+    /// be null). If a clone shares this column's values, they are copied
+    /// first, so the clone is unaffected.
     ///
     /// ## Coercion matrix
     ///
@@ -359,7 +362,7 @@ impl Column {
             expected: dtype.to_string(),
             actual: format!("{v:?}"),
         };
-        match (&mut self.data, &value) {
+        match (Arc::make_mut(&mut self.data), &value) {
             (ColumnData::Int(v), Value::Null) => v.push(None),
             (ColumnData::Int(v), Value::Int(x) | Value::Timestamp(x)) => v.push(Some(*x)),
             (ColumnData::Float(v), Value::Null) => v.push(None),
@@ -428,6 +431,80 @@ impl Column {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Table;
+
+    fn shares(a: &Column, b: &Column) -> bool {
+        Arc::ptr_eq(&a.data, &b.data)
+    }
+
+    #[test]
+    fn clone_shares_values_and_push_copies_once() {
+        let original = Column::from_str("s", vec!["a", "b"]);
+        let mut copy = original.clone();
+        assert!(shares(&original, &copy));
+        copy.push(Value::Str("c".into())).unwrap();
+        assert!(!shares(&original, &copy));
+        assert_eq!(original.len(), 2);
+        assert_eq!(copy.get(2), Value::Str("c".into()));
+        // Now unshared, a further push writes in place.
+        let storage = Arc::as_ptr(&copy.data);
+        copy.push(Value::Null).unwrap();
+        assert_eq!(Arc::as_ptr(&copy.data), storage);
+
+        // The reverse: pushing to the original leaves a clone unchanged.
+        let mut original = Column::from_i64("a", vec![1]);
+        let copy = original.clone();
+        original.push(Value::Int(2)).unwrap();
+        assert_eq!(copy.to_f64_vec(), vec![Some(1.0)]);
+        assert_eq!(original.to_f64_vec(), vec![Some(1.0), Some(2.0)]);
+    }
+
+    #[test]
+    fn set_name_on_clone_keeps_original_name() {
+        let original = Column::from_f64("x", vec![1.0]);
+        let mut copy = original.clone();
+        copy.set_name("y");
+        assert_eq!(original.name(), "x");
+        assert_eq!(copy.name(), "y");
+        assert!(shares(&original, &copy));
+    }
+
+    #[test]
+    fn table_clone_hstack_select_share_storage() {
+        let t = Table::new(
+            "t",
+            vec![
+                Column::from_i64("id", vec![1, 2]),
+                Column::from_str("s", vec!["a", "b"]),
+            ],
+        )
+        .unwrap();
+        let other = Table::new("o", vec![Column::from_i64("id", vec![3, 4])]).unwrap();
+        let cloned = t.clone();
+        let stacked = t.hstack(&other).unwrap();
+        let selected = t.select(&["s"]).unwrap();
+        for (a, b) in t.columns().iter().zip(cloned.columns()) {
+            assert!(shares(a, b));
+        }
+        assert!(shares(&t.columns()[0], &stacked.columns()[0]));
+        assert!(shares(&t.columns()[1], &stacked.columns()[1]));
+        // The renamed collision still shares `other`'s values.
+        assert_eq!(stacked.columns()[2].name(), "o.id");
+        assert!(shares(&other.columns()[0], &stacked.columns()[2]));
+        assert!(shares(&t.columns()[1], &selected.columns()[0]));
+    }
+
+    #[test]
+    fn vstack_never_aliases_inputs() {
+        let a = Table::new("a", vec![Column::from_i64("k", vec![1, 2])]).unwrap();
+        let b = Table::new("b", vec![Column::from_i64("k", vec![3])]).unwrap();
+        let empty = a.take(&[]).unwrap();
+        for (x, y) in [(&a, &b), (&a, &empty), (&empty, &a)] {
+            let v = x.vstack(y).unwrap();
+            assert!(!shares(&v.columns()[0], &x.columns()[0]));
+            assert!(!shares(&v.columns()[0], &y.columns()[0]));
+        }
+    }
 
     #[test]
     fn constructors_and_lengths() {

@@ -4,6 +4,9 @@ use crate::{Column, DataType, Field, Key, Result, Schema, TableError, Value};
 
 /// An in-memory relational table: an ordered set of equal-length [`Column`]s
 /// plus an optional table name (used to prefix columns after joins).
+///
+/// Columns share their values on clone (see [`Column`]), so cloning a table,
+/// [`Self::select`] and [`Self::hstack`] cost O(columns), not O(cells).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     name: String,
@@ -217,6 +220,10 @@ impl Table {
     /// Horizontally concatenate `other`'s columns onto `self`, renaming
     /// collisions to `{other.name}.{column}` (and numeric suffixes if still
     /// colliding). Row counts must match.
+    ///
+    /// The output shares every column's values with `self` and `other`, so
+    /// the cost is O(columns) whatever the row count. `other`'s columns are
+    /// always appended after `self`'s, each under a name `self` lacks.
     pub fn hstack(&self, other: &Table) -> Result<Table> {
         if other.n_cols() > 0 && self.n_cols() > 0 && other.n_rows() != self.n_rows() {
             return Err(TableError::LengthMismatch {
@@ -252,7 +259,9 @@ impl Table {
         }
         let mut cols = Vec::with_capacity(self.n_cols());
         for (a, b) in self.columns.iter().zip(&other.columns) {
-            let mut c = a.clone();
+            // A fresh copy of `a`'s values, so the output never aliases its
+            // inputs even when `other` has no rows.
+            let mut c = Column::new(a.name(), a.data().clone());
             for v in b.iter() {
                 c.push(v)?;
             }
