@@ -1,7 +1,8 @@
-//! Micro-benchmarks of the performance-critical primitives: hard/soft join
-//! throughput, group-by pre-aggregation, OSNAP sketching, the ℓ2,1 IRLS
-//! solver, random-forest fitting (classification, and regression at a RIFS
-//! round's shape) and RIFS fractions.
+//! Micro-benchmarks of the performance-critical primitives: CSV decoding of
+//! lake-shaped shards, hard/soft join throughput, group-by
+//! pre-aggregation, OSNAP sketching, the ℓ2,1 IRLS solver, random-forest
+//! fitting (classification, and regression at a RIFS round's shape) and
+//! RIFS fractions.
 //!
 //! Runs under `cargo bench -p arda-bench` with the in-repo timing harness
 //! (`harness = false`; the build is offline, so no criterion). End-to-end
@@ -13,10 +14,11 @@ use arda_coreset::sketch_xy;
 use arda_join::{execute_join, JoinSpec, SoftMethod};
 use arda_linalg::{stats::standardize_columns, Matrix};
 use arda_ml::{Dataset, ForestConfig, RandomForest, Task};
+use arda_par::{with_ambient, Budget};
 use arda_select::rifs_fractions;
 use arda_select::sparse_regression::{l21_solve, target_matrix, L21Config};
-use arda_synth::{taxi, ScenarioConfig};
-use arda_table::{Column, GroupBy, Table};
+use arda_synth::{school, taxi, ScenarioConfig};
+use arda_table::{read_csv_str, write_csv, Column, GroupBy, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -43,6 +45,41 @@ fn tables(n_base: usize, n_foreign: usize) -> (Table, Table) {
     )
     .unwrap();
     (base, foreign)
+}
+
+/// Decode 32 shards of a 1000-row school lake (an Int key plus mixed
+/// Float/Int/Str decoy columns, as `write_csv` writes them) from memory on
+/// a one-wide budget, and print the decode rate in rows per second.
+fn bench_csv_decode(out: &mut Vec<Measurement>) {
+    let lake = school(
+        &ScenarioConfig {
+            n_rows: 1000,
+            n_decoys: 348,
+            seed: 8,
+        },
+        true,
+    );
+    let shards: Vec<String> = lake.repository[..32]
+        .iter()
+        .map(|t| {
+            let mut buf = Vec::new();
+            write_csv(t, &mut buf).unwrap();
+            String::from_utf8(buf).unwrap()
+        })
+        .collect();
+    let rows: usize = lake.repository[..32].iter().map(Table::n_rows).sum();
+    let m = with_ambient(&Budget::isolated(1), || {
+        time_op("csv_decode_32_lake_shards_budget1", WINDOW_SECS, || {
+            for text in &shards {
+                black_box(read_csv_str("shard", text).unwrap());
+            }
+        })
+    });
+    println!(
+        "csv_decode_32_lake_shards_budget1: {rows} rows, {:.0} rows/s",
+        rows as f64 * m.ops_per_sec
+    );
+    out.push(m);
 }
 
 fn bench_joins(out: &mut Vec<Measurement>) {
@@ -238,6 +275,7 @@ fn bench_pipeline(out: &mut Vec<Measurement>) {
 
 fn main() {
     let mut results = Vec::new();
+    bench_csv_decode(&mut results);
     bench_joins(&mut results);
     bench_groupby(&mut results);
     bench_sketch(&mut results);

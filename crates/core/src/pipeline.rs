@@ -139,11 +139,17 @@ impl Arda {
     ) -> Result<AugmentationReport> {
         let start = Instant::now();
         let cfg = &self.config;
-        base.column(target)?;
+        let tcol = base.column(target)?;
+        if !tcol.is_empty() && tcol.null_count() == tcol.len() {
+            // Featurizing would fill every label with the same stand-in
+            // and train on a constant.
+            return Err(ArdaError::Invalid(format!(
+                "target column {target} has no non-null value"
+            )));
+        }
 
         // ---- Coreset construction -------------------------------------
         let labels: Option<Vec<f64>> = {
-            let tcol = base.column(target)?;
             let is_cls = cfg.force_classification
                 || !tcol.dtype().is_numeric()
                 || tcol.dtype() == DataType::Bool;

@@ -68,6 +68,11 @@
 //!   `from_dir` falls back to a full header scan and atomically rewrites
 //!   `_catalog.arda` (temp file + rename), so a torn write can never be
 //!   read back;
+//! * a shard rewritten *after* the scan is caught at its lazy load:
+//!   [`Repository::table`] re-stats the file against the manifest's
+//!   `(mtime_ns, size)` before parsing and returns a
+//!   [`TableError::Store`] naming the shard on a mismatch (a rewrite that
+//!   keeps both the size and the mtime goes unseen);
 //! * a missing, unreadable or malformed catalog is simply a cold scan —
 //!   never an error — and catalog *writing* is best-effort (a read-only
 //!   shard directory still works, it is just always cold).
@@ -155,6 +160,22 @@ struct ShardMeta {
 }
 
 impl ShardMeta {
+    /// Re-stat the shard before a lazy load: a file whose `(mtime_ns,
+    /// size)` differs from the manifest entry was rewritten since the
+    /// scan, even when everything [`Self::check`] can see still matches (a
+    /// CSV manifest knows only the width).
+    fn check_stat(&self) -> Result<(), TableError> {
+        let entry = &self.entry;
+        let (mtime_ns, size) = stat_pair(&self.path)?;
+        if (mtime_ns, size) == (entry.mtime_ns, entry.size) {
+            return Ok(());
+        }
+        Err(self.changed(format!(
+            "mtime_ns {mtime_ns} and {size} bytes, manifest has {} and {}",
+            entry.mtime_ns, entry.size
+        )))
+    }
+
     /// Check a freshly loaded shard against this manifest entry: the width
     /// always, dtypes and row count when the manifest recorded them.
     /// Discovery has already planned against the manifest, so a shard
@@ -172,10 +193,14 @@ impl ShardMeta {
         } else {
             return Ok(());
         };
-        Err(TableError::Store(format!(
+        Err(self.changed(mismatch))
+    }
+
+    fn changed(&self, mismatch: String) -> TableError {
+        TableError::Store(format!(
             "shard {} changed since it was indexed: {mismatch}",
             self.path.display()
-        )))
+        ))
     }
 }
 
@@ -635,9 +660,10 @@ impl Repository {
 
     /// Table by index, loading a sharded table from disk on first access.
     /// The returned [`Arc`] stays valid even if the cache later evicts the
-    /// shard. A loaded shard whose width, dtypes or row count disagree
-    /// with its manifest entry is a [`TableError::Store`] and is not
-    /// cached.
+    /// shard. A shard file whose `(mtime_ns, size)` changed since the
+    /// manifest scan (checked before parsing), or whose loaded width,
+    /// dtypes or row count disagree with its manifest entry, is a
+    /// [`TableError::Store`] naming the shard and is not cached.
     pub fn table(&self, index: usize) -> Result<Arc<Table>, TableError> {
         let source = self.sources.get(index).ok_or_else(|| {
             TableError::Invalid(format!(
@@ -659,6 +685,7 @@ impl Repository {
                 // Load outside the lock so distinct shards parse
                 // concurrently; a racing duplicate load of the same shard
                 // yields an identical table, so first-insert-wins is safe.
+                meta.check_stat()?;
                 let loaded = match meta.format {
                     ShardFormat::Csv => Arc::new(
                         arda_table::read_csv_with(&meta.path, &self.read_opts).map_err(|e| {
@@ -1540,6 +1567,49 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn set_mtime(path: &Path, mtime: std::time::SystemTime) {
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+    }
+
+    /// A CSV shard rewritten after indexing with the *same width* (`k,v`
+    /// Int → `x,y` Str) passes every check a CSV manifest entry can make
+    /// on the loaded table; the `(mtime_ns, size)` re-stat catches it,
+    /// whether the rewrite changes the size or only the mtime.
+    #[test]
+    fn same_width_csv_rewrite_is_caught_by_restat() {
+        let dir = std::env::temp_dir().join(format!("arda_disc_csv_restat_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pairs.csv");
+        std::fs::write(&path, "k,v\n1,10\n2,20\n").unwrap();
+        let indexed_mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+        let repo = Repository::from_dir(&dir).unwrap();
+
+        // Different size.
+        std::fs::write(&path, "x,y\nalpha,beta\n").unwrap();
+        assert_stale_shard_rejected(&repo, "pairs.csv");
+
+        // Same size (14 bytes), mtime moved one second on.
+        std::fs::write(&path, "x,y\na,bb\nc,dd\n").unwrap();
+        set_mtime(&path, indexed_mtime + std::time::Duration::from_secs(1));
+        assert_stale_shard_rejected(&repo, "pairs.csv");
+
+        // The indexed bytes and mtime load again.
+        std::fs::write(&path, "k,v\n1,10\n2,20\n").unwrap();
+        set_mtime(&path, indexed_mtime);
+        assert_eq!(
+            repo.table(0).unwrap().column("v").unwrap().dtype(),
+            DataType::Int
+        );
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// An `.arda` shard indexed as one Int column of 2 rows must keep that
     /// width, dtype and row count when it is finally loaded.
     #[test]
@@ -1552,6 +1622,7 @@ mod tests {
         let repo = Repository::from_dir(&dir).unwrap();
         assert_eq!(repo.dtypes(0), Some(vec![DataType::Int]));
         assert_eq!(repo.n_rows(0), Some(2));
+        let indexed_mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
 
         let rewrites = [
             // Wider, other dtypes, more rows.
@@ -1570,8 +1641,10 @@ mod tests {
             assert_stale_shard_rejected(&repo, "ids.arda");
         }
 
-        // Restoring a matching shard loads (and caches) normally.
+        // Restoring the indexed bytes and mtime loads (and caches)
+        // normally.
         arda_table::write_arda_file(&indexed, &path).unwrap();
+        set_mtime(&path, indexed_mtime);
         assert_eq!(*repo.table(0).unwrap(), indexed);
         assert_eq!(repo.resident_shards(), 1);
 

@@ -275,14 +275,13 @@ pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> 
         candidates.push((tau, subset));
     }
 
-    // The holdout evaluations per τ are independent given the fractions:
-    // fan them out on the ambient work budget. Consecutive thresholds often
-    // select the same subset, so only distinct subsets are evaluated; the
-    // estimator refit is deterministic in (subset, seed), which keeps the
-    // monotone walk below bit-identical to the sequential sweep. On a
-    // one-wide budget the fan-out would buy nothing, so scores stay unfilled
-    // here and the walk evaluates lazily, keeping the sequential sweep's
-    // early exit at the first score decrease.
+    // The holdout evaluations per τ are independent given the fractions.
+    // Consecutive thresholds often select the same subset, so only
+    // distinct subsets are evaluated, in waves as wide as the ambient work
+    // budget: the walk stops after the wave that holds the first score
+    // decrease instead of evaluating every subset. The estimator refit is
+    // deterministic in (subset, seed), so the walk is bit-identical to the
+    // sequential sweep, which is what a one-wide budget runs.
     let mut distinct: Vec<Vec<usize>> = Vec::new();
     let mut subset_of: Vec<usize> = Vec::with_capacity(candidates.len());
     for (_, subset) in &candidates {
@@ -291,27 +290,20 @@ pub fn rifs_select(data: &Dataset, ctx: &SelectionContext, cfg: &RifsConfig) -> 
         }
         subset_of.push(distinct.len() - 1);
     }
-    let mut scores: Vec<Option<f64>> = vec![None; distinct.len()];
-    if arda_par::current_budget().width() > 1 {
-        let evaluated = arda_par::par_map(&distinct, 0, |_, subset| ctx.evaluate(data, subset));
-        for (slot, score) in scores.iter_mut().zip(evaluated) {
-            *slot = Some(score?);
-        }
-    }
-
+    let wave = arda_par::current_budget().width().max(1);
+    let mut scores: Vec<f64> = Vec::with_capacity(distinct.len());
     let mut best: Option<(Vec<usize>, f64, f64)> = None; // (subset, τ, score)
     for (i, (tau, subset)) in candidates.into_iter().enumerate() {
-        let score = match scores[subset_of[i]] {
-            Some(s) => s,
-            None => {
-                let s = ctx.evaluate(data, &subset)?;
-                scores[subset_of[i]] = Some(s);
-                s
+        let k = subset_of[i];
+        if k == scores.len() {
+            let next = &distinct[k..(k + wave).min(distinct.len())];
+            for score in arda_par::par_map(next, 0, |_, subset| ctx.evaluate(data, subset)) {
+                scores.push(score?);
             }
-        };
+        }
         match &best {
-            Some((_, _, prev)) if score < *prev => break,
-            _ => best = Some((subset, tau, score)),
+            Some((_, _, prev)) if scores[k] < *prev => break,
+            _ => best = Some((subset, tau, scores[k])),
         }
     }
 

@@ -18,24 +18,40 @@
 //! `\n` / `\r\n` inside quoted cells parse correctly (RFC 4180 §2.6)
 //! instead of erroring as ragged rows.
 //!
-//! Parsing runs in **two streaming passes** so memory stays bounded by
-//! `O(budget width × chunk_size)` of raw text (plus the final columns)
-//! rather than `raw text + dynamic cells + columns` all at once:
+//! Parsing is **one streaming pass**. Blocks are fanned out in windows on
+//! the ambient [`arda_par`] work budget. A worker tokenizes each record
+//! once — a record without `"` splits on `,` into borrowed slices; only
+//! records holding a quote take the lenient quote loop — and parses each
+//! non-null cell once, straight into its column's running block-local
+//! type. That type starts at the type the column already has from earlier
+//! windows and widens by [`unify`] (`Int ∪ Float → Float`, anything else
+//! mixed → `Str`). Partial columns are appended in block order, so ragged
+//! rows surface the earliest offending row, exactly like a sequential
+//! scan.
 //!
-//! 1. **Infer** — blocks are fanned out on the ambient [`arda_par`] work
-//!    budget; each worker parses its block and accumulates per-column
-//!    [`Inferred`] types, which are folded back *in block order* with the
-//!    deterministic widen-merge [`unify`] (`Int ∪ Float → Float`, anything
-//!    else mixed → `Str`). Ragged rows surface the earliest offending row,
-//!    exactly like a sequential scan.
-//! 2. **Build** — the source is re-opened and blocks are fanned out again,
-//!    this time materializing *typed* columnar builders directly (no
-//!    intermediate per-cell `String` table); partial columns are appended
-//!    in block order.
+//! Every stored value is parsed from its own cell text under the column's
+//! *final* type (a `-0` in a column that widens `Int → Float` becomes
+//! `-0.0`, never `0i64 as f64`). Widening after values are stored
+//! therefore rebuilds them from text:
+//!
+//! * **Inside a block**, the widened columns are re-parsed from the
+//!   block's resident text once the block's types are final (at most two
+//!   widenings per column: `Int → Float → Str`).
+//! * **Across blocks**, when a block widens a type that an *earlier* block
+//!   already stored values under, that text is gone. The rest of the pass
+//!   only tracks types and row counts, and the source is re-opened and
+//!   streamed once more with the final types. Only inputs whose first
+//!   values in some column look narrower than later ones pay this second
+//!   pass; a file that fits one block never does.
+//!
+//! Memory stays bounded by `O(budget width × chunk_size)` of raw text plus
+//! the output columns; each block's builders are sized from the record
+//! count the boundary scanner already found.
 //!
 //! Chunk boundaries, block boundaries and the merge order depend only on
 //! `chunk_size` — never on the budget width or how many permits the pool
-//! granted — so the resulting [`Table`] is **bit-identical** at any
+//! granted — and every value comes from its cell's text under the final
+//! type, so the resulting [`Table`] is **bit-identical** at any
 //! `ARDA_THREADS` / budget, and identical to a whole-file parse at any
 //! chunk size. `tests/csv_stream.rs` asserts both properties.
 //!
@@ -179,45 +195,90 @@ fn for_each_field(record: &str, mut f: impl FnMut(usize, &str)) -> usize {
     idx + 1
 }
 
-/// Parse one record into owned fields (test/oracle convenience).
+/// Parse one record into owned fields.
 fn parse_record(record: &str) -> Vec<String> {
     let mut fields = Vec::new();
     for_each_field(record, |_, s| fields.push(s.to_string()));
     fields
 }
 
-/// Iterate the complete records of `block`, stripping the `\n` terminator
-/// and one trailing `\r` per record. `block` must start at a record
-/// boundary; newlines inside quoted fields (tracked by quote *parity*,
-/// which is equivalent to the field parser's toggling for `""` escapes) do
-/// not terminate a record. A final unterminated record (EOF without a
-/// newline) is yielded too.
-fn for_each_record(block: &str, mut f: impl FnMut(usize, &str) -> Result<()>) -> Result<()> {
-    let bytes = block.as_bytes();
+/// Index of the first `\n` at or after `from` that lies outside quotes
+/// (quote parity counted from `from`), or `bytes.len()`.
+fn record_end(bytes: &[u8], from: usize) -> usize {
     let mut in_quotes = false;
-    let mut start = 0usize;
-    let mut rec_no = 0usize;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'"' => in_quotes = !in_quotes,
-            b'\n' if !in_quotes => {
-                let mut end = i;
-                if end > start && bytes[end - 1] == b'\r' {
-                    end -= 1;
-                }
-                f(rec_no, &block[start..end])?;
+    bytes[from..]
+        .iter()
+        .position(|&b| match b {
+            b'"' => {
+                in_quotes = !in_quotes;
+                false
+            }
+            b'\n' => !in_quotes,
+            _ => false,
+        })
+        .map_or(bytes.len(), |p| from + p)
+}
+
+/// `end` moved back over one `\r` of a `\r\n` terminator, never before
+/// `start`.
+fn strip_cr(bytes: &[u8], start: usize, end: usize) -> usize {
+    if end > start && bytes[end - 1] == b'\r' {
+        end - 1
+    } else {
+        end
+    }
+}
+
+/// Tokenize the complete records of `block`, calling
+/// `f(record_index, record, fields)` per record; `record` has the `\n`
+/// terminator and one trailing `\r` stripped. `block` must start at a
+/// record boundary; newlines inside quoted fields (tracked by quote
+/// *parity*, which is equivalent to the field parser's toggling for `""`
+/// escapes) do not terminate a record. A final unterminated record (EOF
+/// without a newline) is yielded too.
+///
+/// One byte scan finds both record and field ends, so a record without
+/// `"` splits on `,` into borrowed slices of `block`. A record holding a
+/// quote is handed to the lenient [`for_each_field`] loop instead.
+fn for_each_record(
+    block: &str,
+    mut f: impl FnMut(usize, &str, &[&str]) -> Result<()>,
+) -> Result<()> {
+    let bytes = block.as_bytes();
+    let mut fields: Vec<&str> = Vec::new();
+    let (mut start, mut field_start, mut rec_no, mut i) = (0usize, 0usize, 0usize, 0usize);
+    while i < bytes.len() {
+        match bytes[i] {
+            b',' => {
+                fields.push(&block[field_start..i]);
+                field_start = i + 1;
+            }
+            b'\n' => {
+                let stop = strip_cr(bytes, start, i);
+                fields.push(&block[field_start..stop]);
+                f(rec_no, &block[start..stop], &fields)?;
+                fields.clear();
                 rec_no += 1;
-                start = i + 1;
+                (start, field_start) = (i + 1, i + 1);
+            }
+            b'"' => {
+                i = record_end(bytes, i);
+                let record = &block[start..strip_cr(bytes, start, i)];
+                let owned = parse_record(record);
+                let refs: Vec<&str> = owned.iter().map(String::as_str).collect();
+                f(rec_no, record, &refs)?;
+                fields.clear();
+                rec_no += 1;
+                (start, field_start) = (i + 1, i + 1);
             }
             _ => {}
         }
+        i += 1;
     }
     if start < bytes.len() {
-        let mut end = bytes.len();
-        if bytes[end - 1] == b'\r' {
-            end -= 1;
-        }
-        f(rec_no, &block[start..end])?;
+        let stop = strip_cr(bytes, start, bytes.len());
+        fields.push(&block[field_start..stop]);
+        f(rec_no, &block[start..stop], &fields)?;
     }
     Ok(())
 }
@@ -231,6 +292,15 @@ struct Block {
     text: String,
     /// Global index (header = 0) of this block's first record.
     first_record: usize,
+    /// Records in `text`, as counted by the boundary scanner.
+    n_records: usize,
+}
+
+impl Block {
+    /// Leading records that are not data: the header, in the first block.
+    fn skip(&self) -> usize {
+        usize::from(self.first_record == 0)
+    }
 }
 
 /// Streams fixed-size chunks from a reader and carves them into [`Block`]s
@@ -281,6 +351,16 @@ impl<R: Read> BlockStream<R> {
             self.eof = true;
         }
         debug_assert_eq!(self.scanned, before);
+        let new = &self.carry[before..];
+        if !self.in_quotes && !new.contains(&b'"') {
+            // No quote anywhere: every newline ends a record.
+            if let Some(last) = new.iter().rposition(|&b| b == b'\n') {
+                self.last_end = before + last + 1;
+                self.pending_records += new.iter().filter(|&&b| b == b'\n').count();
+            }
+            self.scanned = self.carry.len();
+            return Ok(());
+        }
         for i in self.scanned..self.carry.len() {
             match self.carry[i] {
                 b'"' => self.in_quotes = !self.in_quotes,
@@ -308,6 +388,7 @@ impl<R: Read> BlockStream<R> {
                 let block = Block {
                     text,
                     first_record: self.records_emitted,
+                    n_records: self.pending_records,
                 };
                 self.records_emitted += self.pending_records;
                 self.scanned -= self.last_end;
@@ -328,6 +409,7 @@ impl<R: Read> BlockStream<R> {
                 let block = Block {
                     text,
                     first_record: self.records_emitted,
+                    n_records: 1,
                 };
                 self.records_emitted += 1;
                 self.scanned = 0;
@@ -337,16 +419,15 @@ impl<R: Read> BlockStream<R> {
         }
     }
 
-    /// Pull up to `n` blocks (one parallel window's worth).
-    fn next_window(&mut self, n: usize) -> Result<Vec<Block>> {
-        let mut blocks = Vec::new();
-        while blocks.len() < n.max(1) {
+    /// Top `window` up to `n` blocks (one parallel window's worth).
+    fn fill_window(&mut self, window: &mut Vec<Block>, n: usize) -> Result<()> {
+        while window.len() < n.max(1) {
             match self.next_block()? {
-                Some(b) => blocks.push(b),
+                Some(b) => window.push(b),
                 None => break,
             }
         }
-        Ok(blocks)
+        Ok(())
     }
 }
 
@@ -355,26 +436,7 @@ impl<R: Read> BlockStream<R> {
 /// slurp mode, and the header never needs more than its own bytes.
 fn first_record(block: &str) -> &str {
     let bytes = block.as_bytes();
-    let mut in_quotes = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'"' => in_quotes = !in_quotes,
-            b'\n' if !in_quotes => {
-                let end = if i > 0 && bytes[i - 1] == b'\r' {
-                    i - 1
-                } else {
-                    i
-                };
-                return &block[..end];
-            }
-            _ => {}
-        }
-    }
-    let mut end = bytes.len();
-    if end > 0 && bytes[end - 1] == b'\r' {
-        end -= 1;
-    }
-    &block[..end]
+    &block[..strip_cr(bytes, 0, record_end(bytes, 0))]
 }
 
 fn ragged(record: usize, got: usize, width: usize) -> TableError {
@@ -387,100 +449,12 @@ fn ragged(record: usize, got: usize, width: usize) -> TableError {
     ))
 }
 
-// ---------------------------------------------------------------------------
-// Pass 1: header + type inference
-// ---------------------------------------------------------------------------
-
-struct InferState {
-    names: Vec<String>,
-    /// Per-column merged type; `None` = no non-null value seen.
-    types: Vec<Option<Inferred>>,
-    n_rows: usize,
-}
-
-/// Infer per-column types for one block of data records.
-fn infer_block(
-    block: &str,
-    first_record: usize,
-    skip_records: usize,
-    width: usize,
-) -> Result<(Vec<Option<Inferred>>, usize)> {
-    let mut types: Vec<Option<Inferred>> = vec![None; width];
-    let mut rows = 0usize;
-    for_each_record(block, |i, rec| {
-        if i < skip_records {
-            return Ok(());
-        }
-        rows += 1;
-        if rec.is_empty() {
-            return Ok(()); // full-width null row
-        }
-        let n = for_each_field(rec, |c, field| {
-            if c < width && !field.is_empty() {
-                let t = infer_one(field);
-                types[c] = Some(match types[c] {
-                    None => t,
-                    Some(prev) => unify(prev, t),
-                });
-            }
-        });
-        if n != width {
-            return Err(ragged(first_record + i, n, width));
-        }
-        Ok(())
-    })?;
-    Ok((types, rows))
-}
-
-fn infer_pass<R: Read>(reader: R, opts: &CsvReadOptions) -> Result<InferState> {
-    let mut stream = BlockStream::new(reader, opts.chunk_size);
-    let Some(first) = stream.next_block()? else {
-        return Err(TableError::Csv("empty input".into()));
-    };
-
-    // The header is the first record of the first block; peel it off
-    // inline, then infer the rest of that block sequentially (it is one
-    // block's worth of work) and window the remainder in parallel.
-    let header = first_record(&first.text);
-    if header.trim().is_empty() {
-        return Err(TableError::Csv("empty header".into()));
-    }
-    let names = parse_record(header);
-    let width = names.len();
-
-    let (mut types, mut n_rows) = infer_block(&first.text, 0, 1, width)?;
-    loop {
-        let window = stream.next_window(arda_par::current_budget().width())?;
-        if window.is_empty() {
-            break;
-        }
-        let results = arda_par::par_map(&window, 0, |_, block| {
-            infer_block(&block.text, block.first_record, 0, width)
-        });
-        // Fold in block order; `unify` is order-insensitive but the fold
-        // order is fixed anyway, and the *earliest* ragged row wins just
-        // like a sequential scan.
-        for res in results {
-            let (block_types, rows) = res?;
-            n_rows += rows;
-            for (slot, t) in types.iter_mut().zip(block_types) {
-                *slot = match (*slot, t) {
-                    (prev, None) => prev,
-                    (None, got) => got,
-                    (Some(prev), Some(got)) => Some(unify(prev, got)),
-                };
-            }
-        }
-    }
-    Ok(InferState {
-        names,
-        types,
-        n_rows,
-    })
+fn changed() -> TableError {
+    TableError::Csv("input changed between streaming passes".into())
 }
 
 // ---------------------------------------------------------------------------
-// Pass 2: typed columnar build
+// Typed column builders
 // ---------------------------------------------------------------------------
 
 fn new_builder(t: Inferred, capacity: usize) -> ColumnData {
@@ -493,47 +467,61 @@ fn new_builder(t: Inferred, capacity: usize) -> ColumnData {
     }
 }
 
-fn push_null(data: &mut ColumnData) {
+/// The type a builder stores (each [`Inferred`] has its own variant).
+fn kind(data: &ColumnData) -> Inferred {
     match data {
-        ColumnData::Int(v) | ColumnData::Timestamp(v) => v.push(None),
-        ColumnData::Float(v) => v.push(None),
-        ColumnData::Str(v) => v.push(None),
-        ColumnData::Bool(v) => v.push(None),
+        ColumnData::Int(_) => Inferred::Int,
+        ColumnData::Float(_) => Inferred::Float,
+        ColumnData::Bool(_) => Inferred::Bool,
+        ColumnData::Str(_) => Inferred::Str,
+        ColumnData::Timestamp(_) => Inferred::Timestamp,
     }
 }
 
-/// Parse `field` into the builder's type. Inference already proved every
-/// non-null cell parses; a failure here means the source changed between
-/// the two passes.
-fn push_field(data: &mut ColumnData, field: &str) -> Result<()> {
-    if field.is_empty() {
-        push_null(data);
-        return Ok(());
-    }
-    let changed = || TableError::Csv("input changed between streaming passes".into());
+fn push_nulls(data: &mut ColumnData, n: usize) {
     match data {
-        ColumnData::Int(v) => v.push(Some(field.parse::<i64>().map_err(|_| changed())?)),
-        ColumnData::Timestamp(v) => {
-            let tick = field.strip_prefix('@').ok_or_else(changed)?;
-            v.push(Some(tick.parse::<i64>().map_err(|_| changed())?))
-        }
-        ColumnData::Float(v) => {
-            let x = field.parse::<f64>().map_err(|_| changed())?;
-            if !x.is_finite() {
-                // Inference only admits finite literals; a non-finite one
-                // here means the source changed between the two passes.
-                return Err(changed());
-            }
-            v.push(Some(x))
-        }
-        ColumnData::Bool(v) => match field {
-            "true" | "TRUE" | "True" => v.push(Some(true)),
-            "false" | "FALSE" | "False" => v.push(Some(false)),
-            _ => return Err(changed()),
-        },
-        ColumnData::Str(v) => v.push(Some(field.to_string())),
+        ColumnData::Int(v) | ColumnData::Timestamp(v) => v.resize(v.len() + n, None),
+        ColumnData::Float(v) => v.resize(v.len() + n, None),
+        ColumnData::Str(v) => v.resize(v.len() + n, None),
+        ColumnData::Bool(v) => v.resize(v.len() + n, None),
     }
-    Ok(())
+}
+
+/// Parse the non-empty `field` under the builder's type and push it, or
+/// return `false` (pushing nothing) when the text is not of that type.
+/// Accepts exactly the cells [`infer_one`] types as the builder's type, or
+/// as one [`unify`] widens to it (an Int literal in a Float column).
+fn push_value(data: &mut ColumnData, field: &str) -> bool {
+    match data {
+        ColumnData::Int(v) => field.parse::<i64>().map(|x| v.push(Some(x))).is_ok(),
+        ColumnData::Timestamp(v) => field
+            .strip_prefix('@')
+            .and_then(|tick| tick.parse::<i64>().ok())
+            .map(|x| v.push(Some(x)))
+            .is_some(),
+        ColumnData::Float(v) => match field.parse::<f64>() {
+            Ok(x) if x.is_finite() => {
+                v.push(Some(x));
+                true
+            }
+            _ => false,
+        },
+        ColumnData::Bool(v) => match field {
+            "true" | "TRUE" | "True" => {
+                v.push(Some(true));
+                true
+            }
+            "false" | "FALSE" | "False" => {
+                v.push(Some(false));
+                true
+            }
+            _ => false,
+        },
+        ColumnData::Str(v) => {
+            v.push(Some(field.to_string()));
+            true
+        }
+    }
 }
 
 fn append_data(dst: &mut ColumnData, src: ColumnData) {
@@ -543,87 +531,279 @@ fn append_data(dst: &mut ColumnData, src: ColumnData) {
         (ColumnData::Str(d), ColumnData::Str(mut s)) => d.append(&mut s),
         (ColumnData::Bool(d), ColumnData::Bool(mut s)) => d.append(&mut s),
         (ColumnData::Timestamp(d), ColumnData::Timestamp(mut s)) => d.append(&mut s),
-        _ => unreachable!("builders share one inferred type per column"),
+        _ => unreachable!("builders share one type per column"),
     }
 }
 
-/// Materialize one block of records into typed partial columns.
-fn build_block(
-    block: &str,
-    first_record: usize,
-    skip_records: usize,
-    types: &[Inferred],
-) -> Result<Vec<ColumnData>> {
+// ---------------------------------------------------------------------------
+// The single pass: one block
+// ---------------------------------------------------------------------------
+
+/// One column of a block while it is parsed.
+enum Slot {
+    /// Every cell so far was null.
+    Empty,
+    /// Every non-null cell so far, parsed under the builder's type.
+    Built(ColumnData),
+    /// The type only. Set when a cell widened a built column (its values
+    /// are rebuilt from the block's text at the end), or when the block is
+    /// parsed for types alone.
+    Typed(Inferred),
+}
+
+impl Slot {
+    fn dtype(&self) -> Option<Inferred> {
+        match self {
+            Slot::Empty => None,
+            Slot::Built(data) => Some(kind(data)),
+            Slot::Typed(t) => Some(*t),
+        }
+    }
+}
+
+/// What one block contributes: per-column [`Slot`]s (never
+/// [`Slot::Typed`] when the block was built) and its data-row count.
+struct Part {
+    slots: Vec<Slot>,
+    rows: usize,
+}
+
+/// Tokenize and parse one block in a single pass. A column starts at its
+/// type from earlier windows (`start`, `None` = no value seen yet) and
+/// widens as cells demand. With `build` the block's columns come back
+/// built — columns that widened after storing values are re-parsed from
+/// the block's text under their final block type; without it only types
+/// and the row count are tracked.
+fn parse_block(block: &Block, start: &[Option<Inferred>], build: bool) -> Result<Part> {
+    let width = start.len();
+    let capacity = block.n_records;
+    let mut slots: Vec<Slot> = start
+        .iter()
+        .map(|t| match *t {
+            Some(t) if build => Slot::Built(new_builder(t, capacity)),
+            Some(t) => Slot::Typed(t),
+            None => Slot::Empty,
+        })
+        .collect();
+    let mut rows = 0usize;
+    for_each_record(&block.text, |i, rec, fields| {
+        if i < block.skip() {
+            return Ok(());
+        }
+        let row = rows;
+        rows += 1;
+        if rec.is_empty() {
+            for slot in &mut slots {
+                if let Slot::Built(data) = slot {
+                    push_nulls(data, 1);
+                }
+            }
+            return Ok(());
+        }
+        if fields.len() != width {
+            return Err(ragged(block.first_record + i, fields.len(), width));
+        }
+        for (slot, &field) in slots.iter_mut().zip(fields) {
+            if field.is_empty() {
+                if let Slot::Built(data) = slot {
+                    push_nulls(data, 1);
+                }
+                continue;
+            }
+            match slot {
+                Slot::Built(data) => {
+                    if !push_value(data, field) {
+                        *slot = Slot::Typed(unify(kind(data), infer_one(field)));
+                    }
+                }
+                Slot::Typed(t) => {
+                    if *t != Inferred::Str {
+                        *t = unify(*t, infer_one(field));
+                    }
+                }
+                Slot::Empty => {
+                    let t = infer_one(field);
+                    *slot = if build {
+                        let mut data = new_builder(t, capacity);
+                        push_nulls(&mut data, row);
+                        let parsed = push_value(&mut data, field);
+                        debug_assert!(parsed, "infer_one proved the cell parses");
+                        Slot::Built(data)
+                    } else {
+                        Slot::Typed(t)
+                    };
+                }
+            }
+        }
+        Ok(())
+    })?;
+    if build {
+        let widened: Vec<Option<Inferred>> = slots
+            .iter()
+            .map(|s| match s {
+                Slot::Typed(t) => Some(*t),
+                _ => None,
+            })
+            .collect();
+        if widened.iter().any(Option::is_some) {
+            for (slot, data) in slots.iter_mut().zip(build_block(block, &widened)?) {
+                if let Some(data) = data {
+                    *slot = Slot::Built(data);
+                }
+            }
+        }
+    }
+    Ok(Part { slots, rows })
+}
+
+/// Parse the block's cells under fixed types, for the columns with
+/// `Some` type only. Every cell must parse: the types were inferred from
+/// this very text, so a failure means the source changed between passes.
+fn build_block(block: &Block, types: &[Option<Inferred>]) -> Result<Vec<Option<ColumnData>>> {
     let width = types.len();
-    let mut cols: Vec<ColumnData> = types.iter().map(|&t| new_builder(t, 0)).collect();
-    for_each_record(block, |i, rec| {
-        if i < skip_records {
+    let mut cols: Vec<Option<ColumnData>> = types
+        .iter()
+        .map(|t| t.map(|t| new_builder(t, block.n_records)))
+        .collect();
+    for_each_record(&block.text, |i, rec, fields| {
+        if i < block.skip() {
             return Ok(());
         }
         if rec.is_empty() {
-            for col in &mut cols {
-                push_null(col);
+            for data in cols.iter_mut().flatten() {
+                push_nulls(data, 1);
             }
             return Ok(());
         }
-        let mut err: Option<TableError> = None;
-        let n = for_each_field(rec, |c, field| {
-            if err.is_none() {
-                if let Some(col) = cols.get_mut(c) {
-                    if let Err(e) = push_field(col, field) {
-                        err = Some(e);
-                    }
-                }
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
+        if fields.len() != width {
+            return Err(ragged(block.first_record + i, fields.len(), width));
         }
-        if n != width {
-            return Err(ragged(first_record + i, n, width));
+        for (col, &field) in cols.iter_mut().zip(fields) {
+            let Some(data) = col else {
+                continue;
+            };
+            if field.is_empty() {
+                push_nulls(data, 1);
+            } else if !push_value(data, field) {
+                return Err(changed());
+            }
         }
         Ok(())
     })?;
     Ok(cols)
 }
 
-fn build_pass<R: Read>(
+// ---------------------------------------------------------------------------
+// The single pass: merging blocks in order
+// ---------------------------------------------------------------------------
+
+/// The output so far: per-column types and values, merged in block order.
+struct Merged {
+    types: Vec<Option<Inferred>>,
+    /// Values of each column with a type (`None` while every row is null).
+    /// Emptied once `restream` is set.
+    columns: Vec<Option<ColumnData>>,
+    n_rows: usize,
+    /// A block widened a column that an earlier block had stored values
+    /// under: the values are rebuilt by streaming the source again.
+    restream: bool,
+}
+
+impl Merged {
+    fn new(width: usize) -> Self {
+        Merged {
+            types: vec![None; width],
+            columns: (0..width).map(|_| None).collect(),
+            n_rows: 0,
+            restream: false,
+        }
+    }
+
+    /// Append one block's part; `block` is its still-resident text.
+    fn push(&mut self, block: &Block, part: Part) -> Result<()> {
+        for (c, slot) in part.slots.into_iter().enumerate() {
+            let Some(t) = slot.dtype() else {
+                if let Some(data) = &mut self.columns[c] {
+                    push_nulls(data, part.rows);
+                }
+                continue;
+            };
+            let Some(prev) = self.types[c] else {
+                self.types[c] = Some(t);
+                if let Slot::Built(data) = slot {
+                    self.columns[c] = Some(if self.n_rows == 0 {
+                        data
+                    } else {
+                        let mut col = new_builder(t, self.n_rows + data.len());
+                        push_nulls(&mut col, self.n_rows);
+                        append_data(&mut col, data);
+                        col
+                    });
+                }
+                continue;
+            };
+            let wide = unify(prev, t);
+            self.types[c] = Some(wide);
+            if wide != prev {
+                self.restream = true;
+            }
+            if self.restream {
+                continue;
+            }
+            let Slot::Built(mut data) = slot else {
+                unreachable!("a built part has no type-only slots")
+            };
+            if t != wide {
+                // The column is already wider than this block alone (an Int
+                // block after a Float one): re-parse the block's cells.
+                let mut types = vec![None; self.types.len()];
+                types[c] = Some(wide);
+                data = build_block(block, &types)?.swap_remove(c).expect("typed");
+            }
+            append_data(self.columns[c].as_mut().expect("typed"), data);
+        }
+        self.n_rows += part.rows;
+        if self.restream {
+            self.columns.iter_mut().for_each(|col| *col = None);
+        }
+        Ok(())
+    }
+}
+
+/// Stream `reader` once more and build every column under its final type
+/// (the rare path: see the module docs).
+fn restream<R: Read>(
     reader: R,
     opts: &CsvReadOptions,
-    state: &InferState,
+    types: &[Option<Inferred>],
+    n_rows: usize,
 ) -> Result<Vec<ColumnData>> {
-    let types: Vec<Inferred> = state
-        .types
+    // An all-null column is stored as `Str`.
+    let types: Vec<Option<Inferred>> = types
         .iter()
-        .map(|t| t.unwrap_or(Inferred::Str))
+        .map(|t| Some(t.unwrap_or(Inferred::Str)))
         .collect();
     let mut columns: Vec<ColumnData> = types
         .iter()
-        .map(|&t| new_builder(t, state.n_rows))
+        .flatten()
+        .map(|&t| new_builder(t, n_rows))
         .collect();
     let mut stream = BlockStream::new(reader, opts.chunk_size);
-    let mut first = true;
     loop {
-        let window = stream.next_window(arda_par::current_budget().width())?;
+        let mut window = Vec::new();
+        stream.fill_window(&mut window, arda_par::current_budget().width())?;
         if window.is_empty() {
             break;
         }
-        let skip_header = first;
-        first = false;
-        let parts = arda_par::par_map(&window, 0, |bi, block| {
-            let skip = usize::from(skip_header && bi == 0);
-            build_block(&block.text, block.first_record, skip, &types)
-        });
+        let parts = arda_par::par_map(&window, 0, |_, block| build_block(block, &types));
         for part in parts {
-            for (dst, src) in columns.iter_mut().zip(part?) {
+            for (dst, src) in columns.iter_mut().zip(part?.into_iter().flatten()) {
                 append_data(dst, src);
             }
         }
     }
-    if columns.first().is_some_and(|c| c.len() != state.n_rows) {
-        return Err(TableError::Csv(
-            "input changed between streaming passes".into(),
-        ));
+    if columns.first().is_some_and(|c| c.len() != n_rows) {
+        return Err(changed());
     }
     Ok(columns)
 }
@@ -632,19 +812,60 @@ fn build_pass<R: Read>(
 // Public API
 // ---------------------------------------------------------------------------
 
-/// Run both streaming passes over a re-openable byte source.
+/// Parse a re-openable byte source in one streaming pass (two on the rare
+/// cross-block widening path).
 fn ingest<R: Read>(
     name: &str,
     open: impl Fn() -> Result<R>,
     opts: &CsvReadOptions,
 ) -> Result<Table> {
-    let state = infer_pass(open()?, opts)?;
-    let columns = build_pass(open()?, opts, &state)?;
-    let columns: Vec<Column> = state
-        .names
-        .iter()
+    let mut stream = BlockStream::new(open()?, opts.chunk_size);
+    let Some(first) = stream.next_block()? else {
+        return Err(TableError::Csv("empty input".into()));
+    };
+    // The header is the first record of the first block; that block's
+    // data records are parsed with the rest of the first window.
+    let header = first_record(&first.text);
+    if header.trim().is_empty() {
+        return Err(TableError::Csv("empty header".into()));
+    }
+    let names = parse_record(header);
+    let mut merged = Merged::new(names.len());
+    let mut window = vec![first];
+    loop {
+        stream.fill_window(&mut window, arda_par::current_budget().width())?;
+        if window.is_empty() {
+            break;
+        }
+        let (start, build) = (&merged.types, !merged.restream);
+        let parts = arda_par::par_map(&window, 0, |_, block| parse_block(block, start, build));
+        // Fold in block order: the *earliest* ragged row wins, just like a
+        // sequential scan.
+        for (block, part) in window.iter().zip(parts) {
+            merged.push(block, part?)?;
+        }
+        window.clear();
+    }
+    let columns = if merged.restream {
+        restream(open()?, opts, &merged.types, merged.n_rows)?
+    } else {
+        let n_rows = merged.n_rows;
+        merged
+            .columns
+            .into_iter()
+            .map(|col| {
+                col.unwrap_or_else(|| {
+                    let mut data = new_builder(Inferred::Str, n_rows);
+                    push_nulls(&mut data, n_rows);
+                    data
+                })
+            })
+            .collect()
+    };
+    let columns: Vec<Column> = names
+        .into_iter()
         .zip(columns)
-        .map(|(n, data)| Column::new(n.clone(), data))
+        .map(|(n, data)| Column::new(n, data))
         .collect();
     Table::new(name, columns)
 }
@@ -662,8 +883,11 @@ pub fn read_csv_str(name: &str, text: &str) -> Result<Table> {
 }
 
 /// Read a table from a CSV file with explicit options; the table is named
-/// after the file stem. The file is streamed twice (infer, then build) so
-/// raw text, dynamic cells and columns are never all resident at once.
+/// after the file stem. The file is streamed once: each cell is tokenized
+/// and parsed once, straight into its column, with at most
+/// `budget width × chunk_size` bytes of raw text resident. It is re-opened
+/// and streamed a second time only when a later block widens a column an
+/// earlier block already stored values under (see the module docs).
 pub fn read_csv_with(path: impl AsRef<Path>, opts: &CsvReadOptions) -> Result<Table> {
     let path = path.as_ref();
     let name = path

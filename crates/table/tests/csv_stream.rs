@@ -1,6 +1,6 @@
 //! CSV property suite for the streaming reader (PR 4).
 //!
-//! Three families of properties:
+//! Four families of properties:
 //!
 //! 1. **Round-trip**: random tables over all dtypes — with nulls and
 //!    hostile strings (embedded `\n`, `\r\n`, bare `\r`, `,`, `"`,
@@ -18,6 +18,13 @@
 //!    in the `csv` module instead.
 //! 3. **Budget invariance**: parsing is bit-identical across work budgets
 //!    (chunk/block layout depends only on `chunk_size`, never on width).
+//! 4. **Widening**: columns whose type changes after one or more blocks
+//!    (Int → Float with `-0`/`-00`/`+7`/`007`/2^53 + 1 in the Int part,
+//!    Float then Int literals, Int/Bool/Timestamp → Str, leading and
+//!    interior all-null blocks) decode bit-identically to the seed parser
+//!    — float *bits* included, so a `-0` must come back `-0.0` — at every
+//!    chunk size and budgets {1, 2, 8}. The oracle types all-`@tick`
+//!    columns as `Timestamp`, the one typing the seed predates.
 //!
 //! `tests/budget_determinism.rs` at the workspace root additionally drives
 //! ingestion through the full pipeline across budgets.
@@ -400,4 +407,220 @@ fn ingestion_identical_across_budgets() {
         }
     }
     arda_par::set_default_threads(restore);
+}
+
+// ---------------------------------------------------------------------------
+// Mixed-type columns: types that widen after one or more blocks
+// ---------------------------------------------------------------------------
+
+/// `assert_eq!` plus a float bit check: `-0.0 == 0.0` under `PartialEq`,
+/// so only the bits tell a `-0` re-parsed as `-0.0` from one converted
+/// from `0i64`.
+fn assert_bit_identical(got: &Table, want: &Table, context: &str) {
+    assert_eq!(got, want, "{context}");
+    for (g, w) in got.columns().iter().zip(want.columns()) {
+        if let (ColumnData::Float(gv), ColumnData::Float(wv)) = (g.data(), w.data()) {
+            let bits =
+                |v: &[Option<f64>]| v.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>();
+            assert_eq!(bits(gv), bits(wv), "float bits of {}: {context}", g.name());
+        }
+    }
+}
+
+/// The seed parser's table with the one typing it predates: a `Str`
+/// column whose non-null cells are all `@<i64>` reads as `Timestamp`.
+fn seed_with_ticks(text: &str) -> Result<Table, TableError> {
+    let seed = seed_read_csv_str("t", text)?;
+    let columns = seed
+        .columns()
+        .iter()
+        .map(|col| match col.data() {
+            ColumnData::Str(cells) if cells.iter().flatten().next().is_some() => {
+                let ticks: Option<Vec<Option<i64>>> = cells
+                    .iter()
+                    .map(|cell| match cell {
+                        None => Some(None),
+                        Some(s) => s.strip_prefix('@')?.parse::<i64>().ok().map(Some),
+                    })
+                    .collect();
+                ticks.map_or_else(
+                    || col.clone(),
+                    |t| Column::new(col.name(), ColumnData::Timestamp(t)),
+                )
+            }
+            _ => col.clone(),
+        })
+        .collect();
+    Table::new("t", columns)
+}
+
+/// Decode `text` at every chunk size in {7, 64, 4096, whole} under budgets
+/// {1, 2, 8} and check each decode against the seed parser (with `@tick`
+/// columns typed, see [`seed_with_ticks`]), bit for bit.
+fn assert_matches_seed_everywhere(text: &str, context: &str) {
+    let seed = seed_with_ticks(text)
+        .unwrap_or_else(|e| panic!("{context}: seed parser choked: {e}\n{text:?}"));
+    for budget in [1usize, 2, 8] {
+        for chunk_size in CHUNK_SIZES {
+            let got = arda_par::with_ambient(&arda_par::Budget::isolated(budget), || {
+                read_csv_str_with("t", text, &CsvReadOptions { chunk_size })
+            })
+            .unwrap_or_else(|e| panic!("{context} budget {budget} chunk {chunk_size}: {e}"));
+            assert_bit_identical(
+                &got,
+                &seed,
+                &format!("{context} budget {budget} chunk {chunk_size}\n{text:?}"),
+            );
+        }
+    }
+}
+
+/// A `k,x` table whose `x` column holds `cells` verbatim (`""` = null).
+fn keyed_column(cells: &[&str]) -> String {
+    let mut text = String::from("k,x\n");
+    for (i, cell) in cells.iter().enumerate() {
+        text.push_str(&format!("{i},{cell}\n"));
+    }
+    text
+}
+
+/// Int literals whose Float reading differs from `int as f64` (`-0`,
+/// `-00`) or that stress the parser (`+7`, `007`, beyond 2^53).
+const TRICKY_INTS: [&str; 6] = ["-0", "-00", "+7", "007", "9007199254740993", "42"];
+
+/// Hand-written widenings, each long enough to span several blocks at the
+/// small chunk sizes, checked against the seed parser bit for bit.
+#[test]
+fn widening_fixtures_match_seed_parser() {
+    let ints: Vec<&str> = TRICKY_INTS.repeat(8);
+    let with = |head: &[&str], tail: &[&str]| -> String {
+        let cells: Vec<&str> = head.iter().chain(tail).copied().collect();
+        keyed_column(&cells)
+    };
+    let nulls = [""; 40];
+    let fixtures: Vec<(&str, String)> = vec![
+        ("int then decimal", with(&ints, &["2.5", "-0", "3"])),
+        ("int then exponent", with(&ints, &["1e3"])),
+        (
+            "float then int literals",
+            with(&["0.5"], &[&ints[..], &["-0.0", "7"]].concat()),
+        ),
+        ("int then text", with(&ints, &["abc", "-0"])),
+        (
+            "bool then text",
+            with(&["true", "False", "TRUE", "false"].repeat(10), &["maybe"]),
+        ),
+        (
+            "timestamp then text",
+            with(&["@5", "@-3", "@0"].repeat(12), &["later", "@1"]),
+        ),
+        (
+            "leading all-null blocks",
+            with(&nulls, &[&ints[..], &["0.25"]].concat()),
+        ),
+        (
+            "all-null block inside a typed column",
+            with(&[&ints[..], &nulls[..]].concat(), &["-0", "1.5"]),
+        ),
+        (
+            "all-null block between int and float",
+            with(&[&["3"][..], &nulls[..]].concat(), &["-0", "1.5", "-00"]),
+        ),
+        ("float, null run, then int literals", {
+            let cells = [&["2.75"][..], &nulls[..], &ints[..]].concat();
+            keyed_column(&cells)
+        }),
+        ("timestamps around an all-null block", {
+            let cells = [&["@5", "@-3"].repeat(10)[..], &nulls[..], &["@7"]].concat();
+            keyed_column(&cells)
+        }),
+    ];
+    for (name, text) in &fixtures {
+        assert_matches_seed_everywhere(text, name);
+    }
+}
+
+/// One random cell of the given kind (text cells are quoted when they
+/// hold `,` or `"`; none holds a newline, so the seed parser agrees).
+fn mixed_cell(rng: &mut StdRng, kind: u32) -> String {
+    match kind {
+        0 => String::new(),
+        1 => {
+            if rng.gen_bool(0.4) {
+                TRICKY_INTS[rng.gen_range(0usize..TRICKY_INTS.len())].to_string()
+            } else {
+                rng.gen_range(-1_000_000i64..1_000_000).to_string()
+            }
+        }
+        2 => match rng.gen_range(0u32..4) {
+            0 => "-0.0".to_string(),
+            1 => format!("{}e{}", rng.gen_range(-9i64..10), rng.gen_range(-3i64..4)),
+            _ => rng.gen_range(-1e6..1e6).to_string(),
+        },
+        3 => ["true", "false", "TRUE", "FALSE", "True", "False"][rng.gen_range(0usize..6)]
+            .to_string(),
+        4 => format!("@{}", rng.gen_range(-1_000_000i64..1_000_000)),
+        _ => {
+            let s = hostile_string(rng, false);
+            if s.contains(',') || s.contains('"') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s
+            }
+        }
+    }
+}
+
+/// Random columns built from runs of different cell kinds, so a column's
+/// type widens after one or more blocks (Int → Float, Float then Int
+/// literals, Int/Bool/Timestamp → Str), starts with all-null runs, or has
+/// all-null runs inside a typed stretch. Decoded at chunk sizes
+/// {7, 64, 4096, whole} under budgets {1, 2, 8}, bit-identical to the seed
+/// parser.
+#[test]
+fn mixed_type_columns_match_seed_parser() {
+    // Kinds: 0 null, 1 int, 2 float, 3 bool, 4 timestamp, 5 text.
+    let plans: [&[u32]; 9] = [
+        &[1, 2],
+        &[2, 1],
+        &[1, 5],
+        &[3, 5],
+        &[4, 5],
+        &[0, 1, 2],
+        &[1, 0, 2],
+        &[2, 0, 1],
+        &[0, 4, 0, 4],
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5eed_ca57);
+    for case in 0..30 {
+        let n_cols = rng.gen_range(1usize..4);
+        let columns: Vec<Vec<String>> = (0..n_cols)
+            .map(|_| {
+                let plan = plans[rng.gen_range(0usize..plans.len())];
+                let mut cells = Vec::new();
+                for &kind in plan {
+                    for _ in 0..rng.gen_range(1usize..40) {
+                        let sprinkled_null = kind != 0 && rng.gen_bool(0.2);
+                        cells.push(mixed_cell(&mut rng, if sprinkled_null { 0 } else { kind }));
+                    }
+                }
+                cells
+            })
+            .collect();
+        let n_rows = columns.iter().map(Vec::len).max().unwrap();
+        let mut text: String = (0..n_cols)
+            .map(|c| format!("c{c}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        text.push('\n');
+        for r in 0..n_rows {
+            let row: Vec<&str> = columns
+                .iter()
+                .map(|col| col.get(r).map_or("", String::as_str))
+                .collect();
+            text.push_str(&row.join(","));
+            text.push('\n');
+        }
+        assert_matches_seed_everywhere(&text, &format!("case {case}"));
+    }
 }

@@ -1,6 +1,7 @@
 //! Hostile-input sweep over `Arda::run`: degenerate bases, targets and
 //! repositories must each end in a clean `Err` or in a report whose
-//! `augmented` table keeps every coreset row — never in a panic.
+//! `augmented` table keeps every coreset row — never in a panic. A case
+//! with no usable answer (an all-null target) must be an `Err`.
 //!
 //! Every case runs on the taxi (regression) and school (classification)
 //! scenarios, each against an eager in-memory repository and a CSV-sharded
@@ -44,32 +45,43 @@ fn constant(c: &Column) -> Column {
     Column::from_values(c.name(), c.dtype(), vec![c.get(0); c.len()]).unwrap()
 }
 
-/// The named hostile cases: a base table and the repository tables.
-fn cases(sc: &Scenario) -> Vec<(&'static str, Table, Vec<Table>)> {
+/// A named hostile case: the base table, the repository tables, and
+/// whether only an `Err` is an acceptable answer.
+type Case = (&'static str, Table, Vec<Table>, bool);
+
+fn cases(sc: &Scenario) -> Vec<Case> {
     let target = sc.target.as_str();
     let is_target = |c: &Column| c.name() == target;
     let repo = sc.repository.clone();
     let empty_repo: Vec<Table> = repo.iter().map(|t| t.take(&[]).unwrap()).collect();
     vec![
-        ("0-row base", sc.base.take(&[]).unwrap(), repo.clone()),
-        ("1-row base", sc.base.head(1), repo.clone()),
-        ("2-row base", sc.base.head(2), repo.clone()),
+        (
+            "0-row base",
+            sc.base.take(&[]).unwrap(),
+            repo.clone(),
+            false,
+        ),
+        ("1-row base", sc.base.head(1), repo.clone(), false),
+        ("2-row base", sc.base.head(2), repo.clone(), false),
         (
             "constant target",
             map_columns(&sc.base, is_target, constant),
             repo.clone(),
+            false,
         ),
         (
             "all-null target",
             map_columns(&sc.base, is_target, all_null),
             repo.clone(),
+            true,
         ),
         (
             "all-null non-target base columns",
             map_columns(&sc.base, |c| !is_target(c), all_null),
             repo,
+            false,
         ),
-        ("every shard has 0 rows", sc.base.clone(), empty_repo),
+        ("every shard has 0 rows", sc.base.clone(), empty_repo, false),
     ]
 }
 
@@ -89,7 +101,7 @@ fn shard_dir(tag: &str, case: usize, tables: &[Table]) -> PathBuf {
 fn sweep(tag: &str, sc: &Scenario, sharded: bool) -> Vec<String> {
     let cfg = config();
     let mut failures = Vec::new();
-    for (i, (case, base, tables)) in cases(sc).into_iter().enumerate() {
+    for (i, (case, base, tables, must_err)) in cases(sc).into_iter().enumerate() {
         let dir = sharded.then(|| shard_dir(tag, i, &tables));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let repo = match &dir {
@@ -104,6 +116,7 @@ fn sweep(tag: &str, sc: &Scenario, sharded: bool) -> Vec<String> {
         match outcome {
             Err(_) => failures.push(format!("{tag} / {case}: panicked")),
             Ok(Err(_)) => {}
+            Ok(Ok(_)) if must_err => failures.push(format!("{tag} / {case}: Ok, expected Err")),
             Ok(Ok(report)) => {
                 let rows = cfg.coreset.resolve_size(base.n_rows());
                 if report.augmented.n_rows() != rows {
